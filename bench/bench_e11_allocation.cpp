@@ -111,7 +111,8 @@ void BM_DequeMixed(benchmark::State& state) {
   // full push is allocator starvation — counting its near-no-op retry as
   // throughput would reward the starving configuration.
   std::int64_t push_full = 0;
-  LatencySampler lat;
+  LatencySampler lat(64,
+                     1 + static_cast<std::uint64_t>(state.thread_index()));
   const BackoffSnapshot before = BackoffSnapshot::take();
   for (auto _ : state) {
     const std::uint64_t t0 = lat.begin();
@@ -190,7 +191,8 @@ void BM_PoolCycle(benchmark::State& state) {
   }
   dcd::bench::pin_bench_thread(state);
   std::int64_t served = 0;
-  LatencySampler lat;
+  LatencySampler lat(64,
+                     1 + static_cast<std::uint64_t>(state.thread_index()));
   const BackoffSnapshot before = BackoffSnapshot::take();
   for (auto _ : state) {
     const std::uint64_t t0 = lat.begin();

@@ -64,7 +64,8 @@ void BM_TwoEnds(benchmark::State& state) {
   dcd::bench::pin_bench_thread(state);
   const bool right = kOpposite ? (state.thread_index() % 2 == 0) : true;
   std::uint64_t v = 1000 + state.thread_index();
-  LatencySampler lat;
+  LatencySampler lat(64,
+                     1 + static_cast<std::uint64_t>(state.thread_index()));
   const BackoffSnapshot before = BackoffSnapshot::take();
   for (auto _ : state) {
     const std::uint64_t t0 = lat.begin();

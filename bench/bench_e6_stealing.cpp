@@ -68,7 +68,7 @@ std::uint64_t run_tree(Deques& deques, int workers, PopOwn pop_own,
       dcd::util::pin_current_thread(static_cast<std::size_t>(w));
       dcd::util::Xoshiro256 rng(w + 1);
       // Tasks are chunky relative to a clock read; sample densely.
-      LatencySampler sampler(8);
+      LatencySampler sampler(8, static_cast<std::uint64_t>(w) + 1);
       barrier.arrive_and_wait();
       std::uint64_t t0 = sampler.begin();
       while (outstanding.load(std::memory_order_acquire) > 0) {

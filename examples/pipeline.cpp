@@ -11,7 +11,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dcd/deque/array_deque.hpp"
@@ -42,19 +44,21 @@ int main(int argc, char** argv) {
   std::thread transformer([&] {
     dcd::util::Xoshiro256 rng(7);
     std::uint64_t processed = 0;
+    std::optional<std::uint64_t> held;  // a failed item that found no room
     while (processed < kItems) {
-      auto v = stage_a.pop_left();
+      auto v = held ? std::exchange(held, std::nullopt) : stage_a.pop_left();
       if (!v) {
         std::this_thread::yield();
         continue;
       }
       // Simulate a transient failure 1% of the time: the item goes back to
-      // the *front* of our input so it is retried before new traffic.
+      // the *front* of our input so it is retried before new traffic. If
+      // the producer has refilled the stage, hold the item locally
+      // instead: only this thread drains stage_a, so waiting for room
+      // there would deadlock.
       if (rng.chance(1, 100)) {
         retried.fetch_add(1, std::memory_order_relaxed);
-        while (stage_a.push_left(*v) != PushResult::kOkay) {
-          std::this_thread::yield();
-        }
+        if (stage_a.push_left(*v) != PushResult::kOkay) held = v;
         continue;
       }
       ++processed;

@@ -21,12 +21,15 @@
 // Descriptor lifetime is managed by the process-wide EBR domain: helpers
 // only dereference descriptors while pinned, and descriptors are retired
 // after phase 2, so the grace period prevents both use-after-free and
-// descriptor-address ABA.
+// descriptor-address ABA. Retired descriptors return to a free list owned
+// by the retiring thread's registry slot, so operations on different
+// threads share no allocator state (DESIGN.md §4.1).
 //
 // Words managed by this policy must keep bit 0 clear in all user-visible
 // values (guaranteed by the dcd::dcas word encoding).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "dcd/dcas/telemetry.hpp"
@@ -79,6 +82,21 @@ class McasDcas {
   static constexpr std::size_t kMaxCasnWidth = 4;
   static bool casn(Word* const* addrs, const std::uint64_t* olds,
                    const std::uint64_t* news, std::size_t n) noexcept;
+
+  // Descriptors each thread slot keeps for reuse, per kind (MCAS and
+  // RDCSS). Frees past the cap overflow to the shared backing pools.
+  static constexpr std::size_t kDescCacheCap = 256;
+
+  // Where descriptors came from when a slot's cache was empty: draws from
+  // the shared backing pools, per kind, and heap allocations once those
+  // ran dry. Summed over slots; exact only with workers quiesced (as
+  // Telemetry).
+  struct DescriptorCacheStats {
+    std::uint64_t heap_fallbacks = 0;
+    std::uint64_t mcas_pool_draws = 0;
+    std::uint64_t rdcss_pool_draws = 0;
+  };
+  static DescriptorCacheStats descriptor_cache_stats() noexcept;
 };
 
 }  // namespace dcd::dcas

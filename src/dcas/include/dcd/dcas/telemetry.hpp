@@ -9,6 +9,7 @@
 // are quiesced.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "dcd/util/align.hpp"
@@ -50,6 +51,10 @@ class Telemetry {
  public:
   // The calling thread's counter block.
   static Counters& tl();
+
+  // The counter block of registry slot `slot`, for callers that already
+  // hold the calling thread's ThreadRegistry::self().
+  static Counters& at(std::size_t slot);
 
   // Sum over all thread slots. Call with workers quiesced for exact values.
   static Counters snapshot();

@@ -4,15 +4,17 @@
 
 #include "dcd/reclaim/ebr.hpp"
 #include "dcd/reclaim/tagged_pool.hpp"
+#include "dcd/util/align.hpp"
 #include "dcd/util/assert.hpp"
+#include "dcd/util/thread_registry.hpp"
 
 namespace dcd::dcas {
 
 namespace {
 
 // Mark layout inside a descriptor-carrying word: bit0 set; bit1 selects the
-// descriptor kind. Descriptors are 64-aligned so the payload bits recover
-// the address exactly.
+// descriptor kind. Descriptors are at least 8-aligned (pool nodes start on
+// cache lines) so the payload bits recover the address exactly.
 constexpr std::uint64_t kRdcssMark = 0b01;
 constexpr std::uint64_t kMcasMark = 0b11;
 constexpr std::uint64_t kMarkBits = 0b11;
@@ -25,7 +27,10 @@ constexpr std::uint64_t kUndecided = 0;
 constexpr std::uint64_t kSucceeded = 1;
 constexpr std::uint64_t kFailed = 2;
 
-struct alignas(64) McasDesc {
+// No alignas: a pool node is a whole number of cache lines anyway, and an
+// unpadded descriptor leaves room for the pool's free-list link inside the
+// node's last line (128 B MCAS and 64 B RDCSS nodes).
+struct McasDesc {
   Word* addr[McasDcas::kMaxCasnWidth];
   std::uint64_t oldv[McasDcas::kMaxCasnWidth];
   std::uint64_t newv[McasDcas::kMaxCasnWidth];
@@ -36,7 +41,7 @@ struct alignas(64) McasDesc {
 
 // RDCSS sub-descriptor: "install newv into *data if *data == oldv and the
 // operation's status is still UNDECIDED".
-struct alignas(64) RdcssDesc {
+struct RdcssDesc {
   std::atomic<std::uint64_t>* cond;  // &owner->status
   Word* data;
   std::uint64_t oldv;
@@ -44,12 +49,16 @@ struct alignas(64) RdcssDesc {
   bool pooled;
 };
 
+static_assert(alignof(McasDesc) > kMarkBits && alignof(RdcssDesc) > kMarkBits,
+              "descriptor addresses must keep the mark bits clear");
+
 // Descriptor storage. A heap `new` would route the "lock-free" DCAS
 // through malloc's locks, so descriptors come from lock-free type-stable
-// pools (heap fallback only under exhaustion, which the sizing makes
-// effectively unreachable). The pools are immortal (leaked singletons):
-// the global EBR domain's force-drain at process exit returns the last
-// descriptors to them, so they must outlive every static destructor.
+// pools (heap fallback only under exhaustion: a stalled EBR epoch can
+// hold more than a pool's capacity in limbo). The pools are immortal
+// (leaked singletons): the global EBR domain's force-drain at process
+// exit returns the last descriptors to them, so they must outlive every
+// static destructor.
 reclaim::TaggedNodePool& mcas_desc_pool() {
   static auto* pool = new reclaim::TaggedNodePool(sizeof(McasDesc), 1 << 14);
   return *pool;
@@ -60,47 +69,117 @@ reclaim::TaggedNodePool& rdcss_desc_pool() {
   return *pool;
 }
 
+// Per-slot descriptor cache (DESIGN.md §4.1). The shared pools above are
+// the backing store; the hot path recycles through the calling thread's
+// slot so the two ends of a deque never meet on a free-list head. Only
+// the slot's owner touches its cache: allocation runs on the owner, and
+// descriptors are retired into the owner's EBR limbo with the cache as
+// the deleter's context, so the post-grace return also runs on the owner
+// (or on the EBR destructor's single thread at exit). Keyed by slot, not
+// thread_local: a later owner of the slot inherits the cache, and the
+// exit-time force-drain never touches a destroyed thread_local.
+struct FreeDesc {
+  FreeDesc* next;
+};
+
+struct DescFreeList {
+  FreeDesc* head = nullptr;
+  std::size_t count = 0;
+  std::uint64_t pool_draws = 0;  // diagnostics: misses served by the pool
+};
+
+struct DescCache {
+  DescFreeList mcas;
+  DescFreeList rdcss;
+  std::uint64_t heap_fallbacks = 0;  // diagnostics: pool was empty too
+};
+
+// Constant-initialised and trivially destructible, so the caches are valid
+// from before the first static constructor until after the last static
+// destructor (the exit-time force-drain returns descriptors into them).
+util::CacheAligned<DescCache> g_desc_cache[util::ThreadRegistry::kMaxThreads];
+
+// Everything one entry point looks up once and hands down: the calling
+// thread's registry slot, its telemetry block and its descriptor cache.
+struct OpCtx {
+  std::size_t slot;
+  Counters& c;
+  DescCache& cache;
+};
+
+OpCtx op_ctx() {
+  const std::size_t s = util::ThreadRegistry::self();
+  return OpCtx{s, Telemetry::at(s), *g_desc_cache[s]};
+}
+
+// DCD_GUARD_EXEMPT(owner-private free list of unpublished descriptors; no shared pointer is dereferenced)
+void* cache_take(DescFreeList& list, reclaim::TaggedNodePool& pool) {
+  if (FreeDesc* f = list.head) {
+    list.head = f->next;
+    --list.count;
+    return f;
+  }
+  void* raw = pool.allocate();
+  if (raw != nullptr) ++list.pool_draws;
+  return raw;
+}
+
+// DCD_GUARD_EXEMPT(post-grace return of an exclusively owned descriptor to its slot's private free list)
+void cache_give(DescFreeList& list, reclaim::TaggedNodePool& pool, void* p) {
+  if (list.count >= McasDcas::kDescCacheCap) {
+    pool.deallocate(p);
+    return;
+  }
+  auto* f = static_cast<FreeDesc*>(p);
+  f->next = list.head;
+  list.head = f;
+  ++list.count;
+}
+
 // DCD_REQUIRES_GUARD(descriptor is handed out raw; the pinned entry point's guard covers it until retire)
-McasDesc* alloc_mcas_desc() {
-  ++Telemetry::tl().descriptors;
-  if (void* raw = mcas_desc_pool().allocate()) {
+McasDesc* alloc_mcas_desc(OpCtx& op) {
+  ++op.c.descriptors;
+  if (void* raw = cache_take(op.cache.mcas, mcas_desc_pool())) {
     auto* d = new (raw) McasDesc;
     d->pooled = true;
     return d;
   }
+  ++op.cache.heap_fallbacks;
   auto* d = new McasDesc;
   d->pooled = false;
   return d;
 }
 
 // DCD_REQUIRES_GUARD(descriptor is handed out raw; the pinned entry point's guard covers it until retire)
-RdcssDesc* alloc_rdcss_desc(std::atomic<std::uint64_t>* cond, Word* data,
-                            std::uint64_t oldv, std::uint64_t newv) {
-  ++Telemetry::tl().descriptors;
-  if (void* raw = rdcss_desc_pool().allocate()) {
-    auto* d = new (raw) RdcssDesc{cond, data, oldv, newv, true};
-    return d;
+RdcssDesc* alloc_rdcss_desc(OpCtx& op, std::atomic<std::uint64_t>* cond,
+                            Word* data, std::uint64_t oldv,
+                            std::uint64_t newv) {
+  ++op.c.descriptors;
+  if (void* raw = cache_take(op.cache.rdcss, rdcss_desc_pool())) {
+    return new (raw) RdcssDesc{cond, data, oldv, newv, true};
   }
+  ++op.cache.heap_fallbacks;
   return new RdcssDesc{cond, data, oldv, newv, false};
 }
 
+// `ctx` is the retiring slot's DescCache (see retire_desc).
 // DCD_GUARD_EXEMPT(post-grace EBR callback; the descriptor is exclusively owned here)
-void dispose_mcas_desc(void* p, void*) {
+void dispose_mcas_desc(void* p, void* ctx) {
   auto* d = static_cast<McasDesc*>(p);
   if (d->pooled) {
     d->~McasDesc();
-    mcas_desc_pool().deallocate(d);
+    cache_give(static_cast<DescCache*>(ctx)->mcas, mcas_desc_pool(), d);
   } else {
     delete d;
   }
 }
 
 // DCD_GUARD_EXEMPT(post-grace EBR callback; the descriptor is exclusively owned here)
-void dispose_rdcss_desc(void* p, void*) {
+void dispose_rdcss_desc(void* p, void* ctx) {
   auto* d = static_cast<RdcssDesc*>(p);
   if (d->pooled) {
     d->~RdcssDesc();
-    rdcss_desc_pool().deallocate(d);
+    cache_give(static_cast<DescCache*>(ctx)->rdcss, rdcss_desc_pool(), d);
   } else {
     delete d;
   }
@@ -119,10 +198,17 @@ McasDesc* mcas_of(std::uint64_t v) {
   return reinterpret_cast<McasDesc*>(v & ~kMarkBits);
 }
 
+// Retires a finished descriptor into the calling slot's EBR limbo, with
+// that slot's cache as the deleter context (see DescCache).
+template <typename Desc>
+void retire_desc(OpCtx& op, Desc* d, reclaim::EbrDomain::Deleter dispose) {
+  reclaim::global_ebr_domain().retire(op.slot, d, dispose, &op.cache);
+}
+
 // Finishes an installed RDCSS: replace the sub-descriptor mark with either
 // the MCAS mark (condition still UNDECIDED) or the original value.
 // DCD_REQUIRES_GUARD(caller is pinned in the global EBR domain by the load/dcas/casn entry guard)
-void rdcss_complete(RdcssDesc* d) {
+void rdcss_complete(OpCtx& op, RdcssDesc* d) {
   const std::uint64_t cond = d->cond->load(std::memory_order_acquire);
   std::uint64_t expected = mark(d);
   const std::uint64_t replacement = (cond == kUndecided) ? d->newv : d->oldv;
@@ -130,27 +216,27 @@ void rdcss_complete(RdcssDesc* d) {
   d->data->raw.compare_exchange_strong(expected, replacement,
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed);
-  ++Telemetry::tl().cas_ops;
+  ++op.c.cas_ops;
 }
 
 // The RDCSS operation itself. Returns the value logically read from *data:
 // d->oldv on success, otherwise the conflicting content (a clean value or
 // an mcas-marked word; rdcss marks are resolved internally).
 // DCD_REQUIRES_GUARD(caller is pinned in the global EBR domain by the load/dcas/casn entry guard)
-std::uint64_t rdcss(RdcssDesc* d) {
+std::uint64_t rdcss(OpCtx& op, RdcssDesc* d) {
   // DCD_PROGRESS(CAS failure means another thread's install or help committed; conflicting rdcss marks are resolved before retrying)
   for (;;) {
     std::uint64_t expected = d->oldv;
-    ++Telemetry::tl().cas_ops;
+    ++op.c.cas_ops;
     // DCD_SYNC(policy-internal)
     if (d->data->raw.compare_exchange_strong(expected, mark(d),
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
-      rdcss_complete(d);
+      rdcss_complete(op, d);
       return d->oldv;
     }
     if (is_rdcss(expected)) {
-      rdcss_complete(rdcss_of(expected));
+      rdcss_complete(op, rdcss_of(expected));
       continue;
     }
     return expected;
@@ -160,7 +246,7 @@ std::uint64_t rdcss(RdcssDesc* d) {
 // Runs an MCAS to completion (owner and helpers execute the same code).
 // Caller must be pinned in the global EBR domain.
 // DCD_REQUIRES_GUARD(caller is pinned in the global EBR domain by the dcas/casn entry guard)
-bool mcas_help(McasDesc* d) {
+bool mcas_help(OpCtx& op, McasDesc* d) {
   // DCD_HB(mcas.status.decide, role=acquire)
   if (d->status.load(std::memory_order_acquire) == kUndecided) {
     // Phase 1: install the descriptor in both words (ascending address
@@ -169,14 +255,14 @@ bool mcas_help(McasDesc* d) {
     std::uint64_t desired = kSucceeded;
     for (std::size_t i = 0; i < d->width && desired == kSucceeded; ++i) {
       for (;;) {
-        auto* rd =
-            alloc_rdcss_desc(&d->status, d->addr[i], d->oldv[i], mark(d));
-        const std::uint64_t r = rdcss(rd);
-        reclaim::global_ebr_domain().retire(rd, dispose_rdcss_desc, nullptr);
+        auto* rd = alloc_rdcss_desc(op, &d->status, d->addr[i], d->oldv[i],
+                                    mark(d));
+        const std::uint64_t r = rdcss(op, rd);
+        retire_desc(op, rd, dispose_rdcss_desc);
         if (is_mcas(r)) {
           if (r == mark(d)) break;  // a helper already installed for us
-          ++Telemetry::tl().helps;
-          mcas_help(mcas_of(r));  // clear the conflicting operation first
+          ++op.c.helps;
+          mcas_help(op, mcas_of(r));  // clear the conflicting operation first
           continue;
         }
         if (r == d->oldv[i]) break;  // installed by the rdcss above
@@ -190,7 +276,7 @@ bool mcas_help(McasDesc* d) {
     d->status.compare_exchange_strong(expected, desired,
                                       std::memory_order_acq_rel,
                                       std::memory_order_acquire);
-    ++Telemetry::tl().cas_ops;
+    ++op.c.cas_ops;
   }
 
   // Phase 2: swap the marks for the outcome's values. Idempotent; any
@@ -202,44 +288,66 @@ bool mcas_help(McasDesc* d) {
     d->addr[i]->raw.compare_exchange_strong(
         expected, ok ? d->newv[i] : d->oldv[i], std::memory_order_acq_rel,
         std::memory_order_relaxed);
-    ++Telemetry::tl().cas_ops;
+    ++op.c.cas_ops;
   }
+  return ok;
+}
+
+// McasDcas::load with the slot already looked up (cas() reuses it).
+std::uint64_t load_with(OpCtx& op, const Word& w) {
+  ++op.c.loads;
+  std::uint64_t v = w.raw.load(std::memory_order_acquire);
+  if (!is_marked(v)) return v;
+
+  // Slow path: pin first, then re-read, so the descriptor we dereference
+  // cannot be reclaimed under us.
+  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain(), op.slot);
+  auto& word = const_cast<Word&>(w);
+  for (;;) {
+    v = word.raw.load(std::memory_order_acquire);
+    if (!is_marked(v)) return v;
+    ++op.c.helps;
+    if (is_rdcss(v)) {
+      rdcss_complete(op, rdcss_of(v));
+    } else {
+      mcas_help(op, mcas_of(v));
+    }
+  }
+}
+
+// Shared tail of dcas/casn: runs a filled-in descriptor and retires it.
+// DCD_REQUIRES_GUARD(caller is pinned in the global EBR domain by the dcas/casn entry guard)
+bool run_mcas(OpCtx& op, McasDesc* d) {
+  const bool ok = mcas_help(op, d);
+  retire_desc(op, d, dispose_mcas_desc);
+  if (!ok) ++op.c.dcas_failures;
   return ok;
 }
 
 }  // namespace
 
 std::uint64_t McasDcas::load(const Word& w) noexcept {
-  ++Telemetry::tl().loads;
-  std::uint64_t v = w.raw.load(std::memory_order_acquire);
-  if (!is_marked(v)) return v;
-
-  // Slow path: pin first, then re-read, so the descriptor we dereference
-  // cannot be reclaimed under us.
-  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain());
-  auto& word = const_cast<Word&>(w);
-  for (;;) {
-    v = word.raw.load(std::memory_order_acquire);
-    if (!is_marked(v)) return v;
-    ++Telemetry::tl().helps;
-    if (is_rdcss(v)) {
-      rdcss_complete(rdcss_of(v));
-    } else {
-      mcas_help(mcas_of(v));
-    }
+  // The clean fast path needs only the telemetry block; the slot lookup
+  // is the same one op_ctx() would make.
+  const std::uint64_t v = w.raw.load(std::memory_order_acquire);
+  if (!is_marked(v)) {
+    ++Telemetry::tl().loads;
+    return v;
   }
+  OpCtx op = op_ctx();
+  return load_with(op, w);
 }
 
 bool McasDcas::cas(Word& w, std::uint64_t oldv,
                    std::uint64_t newv) noexcept {
   DCD_DEBUG_ASSERT(!is_marked(oldv) && !is_marked(newv));
-  auto& c = Telemetry::tl();
+  OpCtx op = op_ctx();
   // DCD_PROGRESS(every retry first helps the conflicting descriptor to completion via load(); a clean mismatch returns false)
   for (;;) {
-    const std::uint64_t v = load(w);  // helps any descriptor away
+    const std::uint64_t v = load_with(op, w);  // helps any descriptor away
     if (v != oldv) return false;
     std::uint64_t expected = oldv;
-    ++c.cas_ops;
+    ++op.c.cas_ops;
     // DCD_SYNC(policy-internal)
     if (w.raw.compare_exchange_strong(expected, newv,
                                       std::memory_order_acq_rel,
@@ -256,11 +364,11 @@ bool McasDcas::dcas(Word& a, Word& b, std::uint64_t oa, std::uint64_t ob,
   DCD_ASSERT(&a != &b);
   DCD_DEBUG_ASSERT(!is_marked(oa) && !is_marked(ob) && !is_marked(na) &&
                    !is_marked(nb));
-  auto& c = Telemetry::tl();
-  ++c.dcas_calls;
+  OpCtx op = op_ctx();
+  ++op.c.dcas_calls;
 
-  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain());
-  auto* d = alloc_mcas_desc();
+  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain(), op.slot);
+  auto* d = alloc_mcas_desc(op);
   d->width = 2;
   // Ascending address order (see mcas_help).
   if (&a < &b) {
@@ -272,20 +380,17 @@ bool McasDcas::dcas(Word& a, Word& b, std::uint64_t oa, std::uint64_t ob,
     d->oldv[0] = ob; d->oldv[1] = oa;
     d->newv[0] = nb; d->newv[1] = na;
   }
-  const bool ok = mcas_help(d);
-  reclaim::global_ebr_domain().retire(d, dispose_mcas_desc, nullptr);
-  if (!ok) ++c.dcas_failures;
-  return ok;
+  return run_mcas(op, d);
 }
 
 bool McasDcas::casn(Word* const* addrs, const std::uint64_t* olds,
                     const std::uint64_t* news, std::size_t n) noexcept {
   DCD_ASSERT(n >= 1 && n <= kMaxCasnWidth);
-  auto& c = Telemetry::tl();
-  ++c.dcas_calls;
+  OpCtx op = op_ctx();
+  ++op.c.dcas_calls;
 
-  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain());
-  auto* d = alloc_mcas_desc();
+  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain(), op.slot);
+  auto* d = alloc_mcas_desc(op);
   d->width = n;
   for (std::size_t i = 0; i < n; ++i) {
     d->addr[i] = addrs[i];
@@ -305,10 +410,19 @@ bool McasDcas::casn(Word* const* addrs, const std::uint64_t* olds,
   for (std::size_t i = 1; i < n; ++i) {
     DCD_ASSERT(d->addr[i] != d->addr[i - 1]);
   }
-  const bool ok = mcas_help(d);
-  reclaim::global_ebr_domain().retire(d, dispose_mcas_desc, nullptr);
-  if (!ok) ++c.dcas_failures;
-  return ok;
+  return run_mcas(op, d);
+}
+
+McasDcas::DescriptorCacheStats McasDcas::descriptor_cache_stats() noexcept {
+  DescriptorCacheStats sum;
+  const std::size_t n = util::ThreadRegistry::high_watermark();
+  for (std::size_t i = 0; i < n; ++i) {
+    const DescCache& cache = *g_desc_cache[i];
+    sum.heap_fallbacks += cache.heap_fallbacks;
+    sum.mcas_pool_draws += cache.mcas.pool_draws;
+    sum.rdcss_pool_draws += cache.rdcss.pool_draws;
+  }
+  return sum;
 }
 
 void McasDcas::snapshot(Word& a, Word& b, std::uint64_t& va,

@@ -11,6 +11,8 @@ util::CacheAligned<Counters> g_slots[util::ThreadRegistry::kMaxThreads];
 
 Counters& Telemetry::tl() { return *g_slots[util::ThreadRegistry::self()]; }
 
+Counters& Telemetry::at(std::size_t slot) { return *g_slots[slot]; }
+
 Counters Telemetry::snapshot() {
   Counters sum;
   const std::size_t n = util::ThreadRegistry::high_watermark();

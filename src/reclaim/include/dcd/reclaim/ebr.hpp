@@ -40,10 +40,16 @@ class EbrDomain {
   EbrDomain& operator=(const EbrDomain&) = delete;
 
   // RAII pin. Nested guards on the same domain are counted, not re-pinned.
+  // The two-argument form takes the calling thread's
+  // util::ThreadRegistry::self() from a caller that already looked it up.
   class Guard {
    public:
     explicit Guard(EbrDomain& domain)
-        : domain_(domain), slot_(domain.enter()) {}
+        : Guard(domain, util::ThreadRegistry::self()) {}
+    Guard(EbrDomain& domain, std::size_t self_slot)
+        : domain_(domain), slot_(self_slot) {
+      domain_.enter(slot_);
+    }
     ~Guard() { domain_.exit(slot_); }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
@@ -53,8 +59,14 @@ class EbrDomain {
     std::size_t slot_;
   };
 
-  // Defers `deleter(p, ctx)` until the grace period has elapsed.
-  void retire(void* p, Deleter deleter, void* ctx);
+  // Defers `deleter(p, ctx)` until the grace period has elapsed. The
+  // deleter runs on whichever thread then owns the retiring thread's
+  // registry slot (or on the destructor's thread).
+  void retire(void* p, Deleter deleter, void* ctx) {
+    retire(util::ThreadRegistry::self(), p, deleter, ctx);
+  }
+  // Same, from a caller that already holds util::ThreadRegistry::self().
+  void retire(std::size_t self_slot, void* p, Deleter deleter, void* ctx);
 
   // Convenience: retire an object allocated with `new`.
   template <typename T>
@@ -67,15 +79,13 @@ class EbrDomain {
   // thread's retired list. Useful in tests to make reclamation prompt.
   void collect();
 
-  // Diagnostics.
-  std::uint64_t retired_count() const {
-    return retired_total_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t freed_count() const {
-    return freed_total_.load(std::memory_order_relaxed);
-  }
+  // Diagnostics: sums of the per-slot counts, exact once every thread
+  // that retired has quiesced.
+  std::uint64_t retired_count() const;
+  std::uint64_t freed_count() const;
   std::uint64_t pending_count() const {
-    return retired_count() - freed_count();
+    const std::uint64_t freed = freed_count();  // first: never above retired
+    return retired_count() - freed;
   }
   std::uint64_t epoch() const {
     return global_epoch_->load(std::memory_order_relaxed);
@@ -99,6 +109,10 @@ class EbrDomain {
     std::vector<Retired> limbo;
     // Retires since the last drain attempt.
     std::uint32_t since_drain = 0;
+    // Lifetime totals of this slot; written only by the slot's owner, so
+    // the domain-wide counts never put a shared line on the retire path.
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> freed{0};
   };
 
   // Attempt one global epoch advance; succeeds iff every pinned slot is at
@@ -108,15 +122,13 @@ class EbrDomain {
   // Free entries in `slot`'s limbo list whose grace period has elapsed.
   void drain(SlotState& slot, bool force);
 
-  std::size_t enter();
+  void enter(std::size_t slot);
   void exit(std::size_t slot);
 
   static constexpr std::uint32_t kDrainThreshold = 64;
 
   util::CacheAligned<std::atomic<std::uint64_t>> global_epoch_;
   util::CacheAligned<SlotState> slots_[util::ThreadRegistry::kMaxThreads];
-  std::atomic<std::uint64_t> retired_total_{0};
-  std::atomic<std::uint64_t> freed_total_{0};
 };
 
 // Process-wide default domain (used by the MCAS engine's descriptors).

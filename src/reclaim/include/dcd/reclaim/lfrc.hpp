@@ -67,7 +67,17 @@ class Lfrc {
   // Allocates the initial unit: a freshly created object starts with
   // count 1, owned by the creating local reference.
   static void init_count(T* p) noexcept {
-    P::store_init(p->rc, dcas::encode_payload(1));
+    reinit(p->rc, dcas::encode_payload(1));
+  }
+
+  // Overwrites a word of recycled storage. A stale loader's DCAS may be
+  // mid-flight on it: an emulated DCAS installs descriptor marks before it
+  // decides, and a raw store that erased such a mark would let the DCAS
+  // decide success on a word it no longer holds, losing its update (a
+  // count unit). Going through the policy helps any descriptor out first.
+  static void reinit(dcas::Word& w, std::uint64_t v) noexcept {
+    while (!P::cas(w, P::load(w), v)) {
+    }
   }
 
   static std::int64_t count(T* p) noexcept {
@@ -111,7 +121,7 @@ class Lfrc {
   // caller's local reference (which is consumed).
   static void store_private(dcas::Word& slot, T* p) {
     T* old = decode(P::load(slot));
-    P::store_init(slot, encode(p));
+    reinit(slot, encode(p));
     destroy(old);
   }
 
@@ -171,7 +181,7 @@ class LfrcStack {
       // Drop the unit our next slot holds (deep chains would recurse;
       // the stack destructor drains iteratively instead).
       Node* n = Lfrc<Node, P>::decode(P::load(next));
-      P::store_init(next, 0);
+      Lfrc<Node, P>::reinit(next, 0);
       owner->pool_.deallocate(this);
       Lfrc<Node, P>::destroy(n);
     }
@@ -201,8 +211,8 @@ class LfrcStack {
     void* raw = pool_.allocate();
     if (raw == nullptr) return false;
     Node* n = static_cast<Node*>(raw);  // storage reuse, no construction
-    R::init_count(n);                   // local unit (atomic store)
-    P::store_init(n->next, 0);
+    R::init_count(n);                   // local unit
+    R::reinit(n->next, 0);
     n->owner = this;
     n->value = std::move(v);
     for (;;) {

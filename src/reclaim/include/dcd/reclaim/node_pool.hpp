@@ -3,7 +3,10 @@
 // The paper's New() allocator is modelled as a lock-free free list over a
 // pre-allocated slab. Allocation failure is observable (returns nullptr),
 // which drives the paper's "push returns full when the allocator fails"
-// path (footnote 3).
+// path (footnote 3). The slab is reserved up front but carved lazily: a
+// node is handed out from the never-used tail once the free list is
+// empty, so resident memory follows the peak number of live nodes, not
+// the capacity.
 //
 // ABA-freedom of the Treiber free list relies on the usage contract:
 // pops happen inside an EBR guard and pushes happen only through EBR
@@ -33,15 +36,7 @@ class NodePool {
     DCD_ASSERT(capacity > 0);
     slab_ = static_cast<std::byte*>(::operator new(
         node_size_ * capacity_, std::align_val_t{util::kCacheLineSize}));
-    // Thread the free list through the slab; construction is
-    // single-threaded so plain pushes are fine.
-    FreeNode* head = nullptr;
-    for (std::size_t i = capacity_; i-- > 0;) {
-      auto* fn = reinterpret_cast<FreeNode*>(slab_ + i * node_size_);
-      fn->next.store(head, std::memory_order_relaxed);
-      head = fn;
-    }
-    head_->store(head, std::memory_order_relaxed);
+    head_->store(nullptr, std::memory_order_relaxed);
   }
 
   ~NodePool() {
@@ -66,8 +61,8 @@ class NodePool {
         return head;
       }
     }
-    failures_->fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    std::size_t got = 0;
+    return carve(1, &got);
   }
 
   // Pushes a node back. Safe only from EBR reclamation callbacks or when
@@ -150,9 +145,7 @@ class NodePool {
         return head;
       }
     }
-    failures_->fetch_add(1, std::memory_order_relaxed);
-    *got = 0;
-    return nullptr;
+    return carve(want, got);
   }
 
   // Pushes a pre-linked chain [first .. last] of `count` nodes back with
@@ -210,6 +203,35 @@ class NodePool {
     std::atomic<FreeNode*> next;
   };
 
+  // Takes up to `want` never-used nodes off the slab's tail as a chain
+  // (nullptr-terminated; *got = count); nullptr once the slab is used up.
+  // The index range alone makes the nodes exclusive: nothing is
+  // published through carved_, so relaxed suffices.
+  // DCD_GUARD_EXEMPT(never-used slab nodes are exclusively owned by the carving thread)
+  void* carve(std::size_t want, std::size_t* got) noexcept {
+    const std::size_t i =
+        carved_->load(std::memory_order_relaxed) < capacity_
+            ? carved_->fetch_add(want, std::memory_order_relaxed)
+            : capacity_;
+    if (i >= capacity_) {
+      failures_->fetch_add(1, std::memory_order_relaxed);
+      *got = 0;
+      return nullptr;
+    }
+    const std::size_t n = want < capacity_ - i ? want : capacity_ - i;
+    std::byte* first = slab_ + i * node_size_;
+    for (std::size_t k = 0; k < n; ++k) {
+      auto* fn = reinterpret_cast<FreeNode*>(first + k * node_size_);
+      fn->next.store(k + 1 < n ? reinterpret_cast<FreeNode*>(
+                                     first + (k + 1) * node_size_)
+                               : nullptr,
+                     std::memory_order_relaxed);
+    }
+    live_->fetch_add(n, std::memory_order_relaxed);
+    *got = n;
+    return first;
+  }
+
   static std::size_t round_up(std::size_t n) noexcept {
     const std::size_t a = util::kCacheLineSize;
     return (n + a - 1) / a * a;
@@ -224,6 +246,7 @@ class NodePool {
   util::CacheAligned<std::atomic<FreeNode*>> head_;
   util::CacheAligned<std::atomic<std::uint64_t>> live_;
   util::CacheAligned<std::atomic<std::uint64_t>> failures_;
+  util::CacheAligned<std::atomic<std::size_t>> carved_;  // slab nodes used
 };
 
 }  // namespace dcd::reclaim

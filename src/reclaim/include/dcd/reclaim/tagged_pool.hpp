@@ -16,11 +16,18 @@
 //      also used under ThreadSanitizer, which cannot see the inline-asm
 //      CAS as a synchronisation edge and would report false races on the
 //      recycled storage.
+//
+// The slab is reserved up front but carved lazily: a node is zeroed and
+// handed out the first time the free list comes up empty, so resident
+// memory follows the peak number of nodes ever live, not the capacity.
+// Stale reads only ever reach nodes that were carved (a pointer to a node
+// exists only once it has been handed out), so type-stability holds.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 
 #include "dcd/dcas/cmpxchg16b.hpp"
@@ -40,22 +47,14 @@ class TaggedNodePool {
  public:
   // DCD_GUARD_EXEMPT(single-threaded construction; the free list is private until the pool is shared)
   TaggedNodePool(std::size_t node_size, std::size_t capacity)
-      : node_size_(round_up(node_size)), capacity_(capacity) {
+      : link_offset_(round_up_to(node_size, alignof(FreeNode))),
+        node_size_(round_up_to(link_offset_ + sizeof(FreeNode),
+                               util::kCacheLineSize)),
+        capacity_(capacity) {
     DCD_ASSERT(capacity > 0);
     slab_ = static_cast<std::byte*>(::operator new(
         node_size_ * capacity_, std::align_val_t{util::kCacheLineSize}));
-    // Zero the slab so stale reads of never-used nodes see clean words.
-    for (std::size_t i = 0; i < node_size_ * capacity_; ++i) {
-      slab_[i] = std::byte{0};
-    }
-    FreeNode* head = nullptr;
-    for (std::size_t i = capacity_; i-- > 0;) {
-      auto* fn = reinterpret_cast<FreeNode*>(slab_ + i * node_size_);
-      fn->next.store(head, std::memory_order_relaxed);
-      head = fn;
-    }
-    head_.lo.store(reinterpret_cast<std::uint64_t>(head),
-                   std::memory_order_relaxed);
+    head_.lo.store(0, std::memory_order_relaxed);
     head_.hi.store(0, std::memory_order_relaxed);
   }
 
@@ -73,44 +72,44 @@ class TaggedNodePool {
     for (;;) {
       std::uint64_t head, tag;
       dcas::Cmpxchg16bDcas::read(head_, head, tag);
-      auto* fn = reinterpret_cast<FreeNode*>(head);
-      if (fn == nullptr) return nullptr;
+      auto* node = reinterpret_cast<std::byte*>(head);
+      if (node == nullptr) return carve();
       // The tag makes a stale `next` harmless: if the head changed and
       // changed back, the tag differs and the CAS fails. (The relaxed read
       // may race a reused node's live data; the value is discarded then.)
-      FreeNode* next = fn->next.load(std::memory_order_relaxed);
+      std::byte* next = link(node)->next.load(std::memory_order_relaxed);
       if (dcas::Cmpxchg16bDcas::dcas(head_, head, tag,
                                      reinterpret_cast<std::uint64_t>(next),
                                      tag + 1)) {
-        return fn;
+        return node;
       }
       backoff.pause();
     }
 #else
     Lock g(lock_);
-    auto* fn = reinterpret_cast<FreeNode*>(
+    auto* node = reinterpret_cast<std::byte*>(
         head_.lo.load(std::memory_order_relaxed));
-    if (fn == nullptr) return nullptr;
+    if (node == nullptr) return carve();
     head_.lo.store(reinterpret_cast<std::uint64_t>(
-                       fn->next.load(std::memory_order_relaxed)),
+                       link(node)->next.load(std::memory_order_relaxed)),
                    std::memory_order_relaxed);
-    return fn;
+    return node;
 #endif
   }
 
   // DCD_GUARD_EXEMPT(caller owns the node exclusively — post-grace callback or never shared)
   void deallocate(void* p) noexcept {
     DCD_DEBUG_ASSERT(owns(p));
-    auto* fn = static_cast<FreeNode*>(p);
+    auto* node = static_cast<std::byte*>(p);
 #if DCD_TAGGED_POOL_LOCKFREE
     util::Backoff backoff;
     for (;;) {
       std::uint64_t head, tag;
       dcas::Cmpxchg16bDcas::read(head_, head, tag);
-      fn->next.store(reinterpret_cast<FreeNode*>(head),
-                     std::memory_order_relaxed);
+      link(node)->next.store(reinterpret_cast<std::byte*>(head),
+                             std::memory_order_relaxed);
       if (dcas::Cmpxchg16bDcas::dcas(head_, head, tag,
-                                     reinterpret_cast<std::uint64_t>(fn),
+                                     reinterpret_cast<std::uint64_t>(node),
                                      tag + 1)) {
         return;
       }
@@ -118,10 +117,10 @@ class TaggedNodePool {
     }
 #else
     Lock g(lock_);
-    fn->next.store(reinterpret_cast<FreeNode*>(
-                       head_.lo.load(std::memory_order_relaxed)),
-                   std::memory_order_relaxed);
-    head_.lo.store(reinterpret_cast<std::uint64_t>(fn),
+    link(node)->next.store(reinterpret_cast<std::byte*>(
+                               head_.lo.load(std::memory_order_relaxed)),
+                           std::memory_order_relaxed);
+    head_.lo.store(reinterpret_cast<std::uint64_t>(node),
                    std::memory_order_relaxed);
 #endif
   }
@@ -136,9 +135,19 @@ class TaggedNodePool {
   std::size_t node_size() const noexcept { return node_size_; }
 
  private:
+  // Free-list link of a node. It sits after the object's bytes, never
+  // inside them: a stale LFRC loader's DCAS on a freed node's count word
+  // is emulated by installing descriptor marks before the DCAS decides,
+  // so any word of a free node's object part may transiently hold a mark.
+  // A link stored there would let allocate() pop that mark as the next
+  // node.
   struct FreeNode {
-    std::atomic<FreeNode*> next;
+    std::atomic<std::byte*> next;
   };
+
+  FreeNode* link(std::byte* node) const noexcept {
+    return reinterpret_cast<FreeNode*>(node + link_offset_);
+  }
 
   class Lock {
    public:
@@ -154,15 +163,29 @@ class TaggedNodePool {
     std::atomic<bool>& flag_;
   };
 
-  static std::size_t round_up(std::size_t n) noexcept {
-    const std::size_t a = util::kCacheLineSize;
+  // Hands out the next never-used node, zeroed so a later stale read of
+  // it sees clean words; nullptr once the slab is used up. The index alone
+  // makes the node exclusive: nothing is published, so relaxed suffices.
+  void* carve() noexcept {
+    if (carved_.load(std::memory_order_relaxed) >= capacity_) return nullptr;
+    const std::size_t i = carved_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= capacity_) return nullptr;
+    std::byte* node = slab_ + i * node_size_;
+    std::memset(node, 0, node_size_);
+    return node;
+  }
+
+  static constexpr std::size_t round_up_to(std::size_t n,
+                                           std::size_t a) noexcept {
     return (n + a - 1) / a * a;
   }
 
+  std::size_t link_offset_;  // object bytes come first, then the link
   std::size_t node_size_;
   std::size_t capacity_;
   std::byte* slab_ = nullptr;
   dcas::AdjacentPair head_;  // {pointer, version tag}
+  std::atomic<std::size_t> carved_{0};  // slab nodes handed out so far
   std::atomic<bool> lock_{false};
 };
 

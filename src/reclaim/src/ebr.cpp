@@ -14,8 +14,15 @@ EbrDomain::~EbrDomain() {
   }
 }
 
-std::size_t EbrDomain::enter() {
-  const std::size_t s = util::ThreadRegistry::self();
+namespace {
+// Single-writer increment: plain load + store, no locked RMW.
+void bump(std::atomic<std::uint64_t>& c) {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+}  // namespace
+
+void EbrDomain::enter(std::size_t s) {
+  DCD_DEBUG_ASSERT(s == util::ThreadRegistry::self());
   SlotState& slot = *slots_[s];
   if (slot.nesting++ == 0) {
     // DCD_HB(ebr.epoch.grace, role=acquire)
@@ -26,7 +33,6 @@ std::size_t EbrDomain::enter() {
     // DCD_HB(ebr.pin.scan, role=fence-release)
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
-  return s;
 }
 
 void EbrDomain::exit(std::size_t s) {
@@ -37,12 +43,12 @@ void EbrDomain::exit(std::size_t s) {
   }
 }
 
-void EbrDomain::retire(void* p, Deleter deleter, void* ctx) {
-  const std::size_t s = util::ThreadRegistry::self();
+void EbrDomain::retire(std::size_t s, void* p, Deleter deleter, void* ctx) {
+  DCD_DEBUG_ASSERT(s == util::ThreadRegistry::self());
   SlotState& slot = *slots_[s];
   slot.limbo.push_back(
       Retired{p, deleter, ctx, global_epoch_->load(std::memory_order_relaxed)});
-  retired_total_.fetch_add(1, std::memory_order_relaxed);
+  bump(slot.retired);
   if (++slot.since_drain >= kDrainThreshold) {
     slot.since_drain = 0;
     try_advance();
@@ -83,12 +89,28 @@ void EbrDomain::drain(SlotState& slot, bool force) {
     // is sufficient even with stale pins).
     if (force || r.epoch + 2 <= g) {
       r.deleter(r.p, r.ctx);
-      freed_total_.fetch_add(1, std::memory_order_relaxed);
+      bump(slot.freed);
     } else {
       slot.limbo[kept++] = r;
     }
   }
   slot.limbo.resize(kept);
+}
+
+std::uint64_t EbrDomain::retired_count() const {
+  std::uint64_t sum = 0;
+  for (const auto& slot : slots_) {
+    sum += slot->retired.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+std::uint64_t EbrDomain::freed_count() const {
+  std::uint64_t sum = 0;
+  for (const auto& slot : slots_) {
+    sum += slot->freed.load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 EbrDomain& global_ebr_domain() {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "dcd/reclaim/ebr.hpp"
 #include "dcd/util/barrier.hpp"
 #include "dcd/util/rng.hpp"
+#include "dcd/util/thread_registry.hpp"
 
 namespace {
 
@@ -112,6 +114,70 @@ TEST(Mcas, DescriptorsAreReclaimed) {
   const std::uint64_t now = domain.pending_count();
   // Allow a small tail for the last drain batch.
   EXPECT_LT(now, base + 512) << "own descriptors not reclaimed";
+}
+
+TEST(Mcas, SteadyStateDescriptorsComeFromTheSlotCache) {
+  // Once a thread's retire -> grace -> reuse pipeline is primed, every
+  // descriptor it allocates is one its own slot got back from EBR: each
+  // shared pool sees at most one cap's worth of first draws and the heap
+  // is never touched.
+  const auto before = McasDcas::descriptor_cache_stats();
+  Word a(val(0)), b(val(0));
+  for (std::uint64_t i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(McasDcas::dcas(a, b, val(i), val(i), val(i + 1), val(i + 1)));
+  }
+  const auto after = McasDcas::descriptor_cache_stats();
+  EXPECT_EQ(after.heap_fallbacks, before.heap_fallbacks);
+  EXPECT_LE(after.mcas_pool_draws - before.mcas_pool_draws,
+            McasDcas::kDescCacheCap);
+  EXPECT_LE(after.rdcss_pool_draws - before.rdcss_pool_draws,
+            McasDcas::kDescCacheCap);
+}
+
+TEST(Mcas, ThreadChurnStrandsNoDescriptors) {
+  // 64 short-lived threads, at most 4 alive at once. A thread that exits
+  // leaves its cache (and its limbo) to the next owner of its registry
+  // slot, so draws from the shared pools stay bounded by the caches of
+  // the slots in use instead of growing with the number of threads. The
+  // live threads take turns in chunks: a thread preempted while pinned
+  // would otherwise stall the epoch and let the others' limbo (an EBR
+  // property, not the cache's) grow without bound.
+  constexpr int kRounds = 16;
+  constexpr int kLive = 4;
+  constexpr int kChunks = 10;
+  constexpr std::uint64_t kDcasPerChunk = 100;
+  const auto before = McasDcas::descriptor_cache_stats();
+  std::atomic<std::uint64_t> slots_seen{0};  // bitmask of registry slots
+  std::mutex turn;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kLive; ++t) {
+      ts.emplace_back([&] {
+        const std::size_t s = dcd::util::ThreadRegistry::self();
+        ASSERT_LT(s, 64u);
+        slots_seen.fetch_or(std::uint64_t{1} << s);
+        Word a(val(0)), b(val(0));
+        std::uint64_t x = 0;
+        for (int chunk = 0; chunk < kChunks; ++chunk) {
+          std::lock_guard<std::mutex> lock(turn);
+          for (std::uint64_t i = 0; i < kDcasPerChunk; ++i, ++x) {
+            ASSERT_TRUE(
+                McasDcas::dcas(a, b, val(x), val(x), val(x + 1), val(x + 1)));
+          }
+        }
+      });
+    }
+    for (auto& t : ts) t.join();
+  }
+  const auto after = McasDcas::descriptor_cache_stats();
+  const auto slots =
+      static_cast<std::uint64_t>(__builtin_popcountll(slots_seen.load()));
+  EXPECT_LE(slots, static_cast<std::uint64_t>(kLive + 1));
+  EXPECT_EQ(after.heap_fallbacks, before.heap_fallbacks);
+  EXPECT_LE(after.mcas_pool_draws - before.mcas_pool_draws,
+            McasDcas::kDescCacheCap * slots);
+  EXPECT_LE(after.rdcss_pool_draws - before.rdcss_pool_draws,
+            McasDcas::kDescCacheCap * slots);
 }
 
 TEST(Mcas, ManyWordsManyThreadsNoLostUpdates) {

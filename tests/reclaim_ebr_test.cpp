@@ -205,6 +205,36 @@ TEST(Ebr, EpochAdvancesUnderConcurrentGuards) {
   EXPECT_EQ(Tracked::live.load(), base_live);
 }
 
+TEST(Ebr, PerSlotCountsSumExactlyAcrossThreads) {
+  // retired_count()/freed_count() sum per-slot counters. Once every
+  // retiring thread has quiesced and drained its own slot, the sums are
+  // exact: nothing is lost between slots and nothing is counted twice.
+  const int base_live = Tracked::live.load();
+  EbrDomain domain;
+  constexpr int kThreads = 4;
+  constexpr int kRetires = 1000;
+  dcd::util::SpinBarrier retired(kThreads);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&] {
+      for (int i = 0; i < kRetires; ++i) {
+        EbrDomain::Guard guard(domain);
+        domain.retire_delete(new Tracked);
+      }
+      retired.arrive_and_wait();  // every thread is quiescent from here
+      // Each collect() advances the epoch at least once (its own CAS or a
+      // concurrent one), so three put every entry past its grace period.
+      for (int i = 0; i < 3; ++i) domain.collect();
+    });
+  }
+  for (auto& t : ts) t.join();
+  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads * kRetires);
+  EXPECT_EQ(domain.retired_count(), kTotal);
+  EXPECT_EQ(domain.freed_count(), kTotal);
+  EXPECT_EQ(domain.pending_count(), 0u);
+  EXPECT_EQ(Tracked::live.load(), base_live);
+}
+
 TEST(Ebr, StressNoUseAfterFree) {
   // Readers chase a shared pointer under guards while a writer swaps and
   // retires it; Tracked's canary value detects touching freed memory.

@@ -260,4 +260,26 @@ TYPED_TEST(LfrcStackTest, ConcurrentConservation) {
   }
 }
 
+// A stale LFRC loader's emulated DCAS installs descriptor marks into a
+// freed node's count word before it decides. The pool's free-list link
+// must not live in the object's bytes, or allocate() would pop that mark
+// as the next node.
+TEST(LfrcPool, MarkInAFreeNodesObjectBytesIsNotFollowed) {
+  struct Obj {
+    dcd::dcas::Word rc;
+    std::uint64_t tag;
+  };
+  TaggedNodePool pool(sizeof(Obj), 4);
+  void* a = pool.allocate();
+  void* b = pool.allocate();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  pool.deallocate(b);
+  pool.deallocate(a);  // free list: a -> b
+  // What a stale descriptor install leaves in a's count word.
+  static_cast<Obj*>(a)->rc.raw.store(0xdead0001, std::memory_order_relaxed);
+  EXPECT_EQ(pool.allocate(), a);
+  EXPECT_EQ(pool.allocate(), b);
+}
+
 }  // namespace
