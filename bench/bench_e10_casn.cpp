@@ -30,9 +30,9 @@ AdjacentPair g_pair;
 
 void BM_RawCas(benchmark::State& state) {
   print_topology_once();
-  std::uint64_t x = g_raw.load();
+  std::uint64_t x = g_raw.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    if (g_raw.compare_exchange_strong(x, x + 1)) {
+    if (g_raw.compare_exchange_strong(x, x + 1, std::memory_order_seq_cst)) {
       ++x;
     }
   }

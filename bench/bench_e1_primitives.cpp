@@ -51,9 +51,10 @@ void BM_Write(benchmark::State& state) {
 BENCHMARK(BM_Write);
 
 void BM_CasSuccess(benchmark::State& state) {
-  std::uint64_t expected = g_word.load();
+  std::uint64_t expected = g_word.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    if (!g_word.compare_exchange_strong(expected, expected + 1)) {
+    if (!g_word.compare_exchange_strong(expected, expected + 1,
+                                        std::memory_order_seq_cst)) {
       // single-threaded: refresh and continue
     } else {
       ++expected;
@@ -64,11 +65,11 @@ void BM_CasSuccess(benchmark::State& state) {
 BENCHMARK(BM_CasSuccess);
 
 void BM_CasFailure(benchmark::State& state) {
-  g_word.store(7);
+  g_word.store(7, std::memory_order_relaxed);
   for (auto _ : state) {
     std::uint64_t wrong = 0xdead;
     benchmark::DoNotOptimize(
-        g_word.compare_exchange_strong(wrong, 1));
+        g_word.compare_exchange_strong(wrong, 1, std::memory_order_seq_cst));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -77,7 +78,8 @@ BENCHMARK(BM_CasFailure);
 void BM_CasContended(benchmark::State& state) {
   for (auto _ : state) {
     std::uint64_t cur = g_word.load(std::memory_order_relaxed);
-    while (!g_word.compare_exchange_weak(cur, cur + 1)) {
+    while (!g_word.compare_exchange_weak(cur, cur + 1,
+                                         std::memory_order_seq_cst)) {
     }
   }
   state.SetItemsProcessed(state.iterations());

@@ -56,7 +56,7 @@ std::uint64_t run_tree(Deques& deques, int workers, PopOwn pop_own,
   std::atomic<std::uint64_t> executed{0};
   std::atomic<std::int64_t> outstanding{0};
   for (std::uint64_t i = 0; i < kSeedTasks; ++i) {
-    outstanding.fetch_add(1);
+    outstanding.fetch_add(1, std::memory_order_relaxed);
     push_own(static_cast<int>(i % workers), make_task(kDepth, i + 1));
   }
   dcd::util::SpinBarrier barrier(workers);
@@ -98,7 +98,7 @@ std::uint64_t run_tree(Deques& deques, int workers, PopOwn pop_own,
   for (auto& t : threads) t.join();
   for (const auto& h : lats) lat.merge(h);
   (void)deques;
-  return executed.load();
+  return executed.load(std::memory_order_relaxed);
 }
 
 template <typename D>

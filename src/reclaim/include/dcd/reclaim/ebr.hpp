@@ -76,7 +76,8 @@ class EbrDomain {
   }
 
   // Best-effort: advance the epoch if possible and drain the calling
-  // thread's retired list. Useful in tests to make reclamation prompt.
+  // thread's retired list and those of exited threads. Called when a pool
+  // runs dry, and in tests to make reclamation prompt.
   void collect();
 
   // Diagnostics: sums of the per-slot counts, exact once every thread
@@ -105,7 +106,8 @@ class EbrDomain {
     // Nesting depth; touched only by the owning thread.
     std::uint32_t nesting = 0;
     // Retired-but-not-freed objects; touched only by the owning thread
-    // (slot ownership is exclusive via ThreadRegistry).
+    // (slot ownership is exclusive via ThreadRegistry; collect() adopts a
+    // released slot before draining it).
     std::vector<Retired> limbo;
     // Retires since the last drain attempt.
     std::uint32_t since_drain = 0;

@@ -56,7 +56,7 @@ namespace dcd::reclaim {
 // target the refill/flush windows; the names mirror
 // dcd::dcas::sync_point::{kMagazineRefill,kMagazineFlush} — the reclaim
 // layer cannot include chaos.hpp (dcd_dcas links dcd_reclaim, not the
-// reverse), so the strings are duplicated and the atomics linter checks
+// reverse), so the strings are duplicated and tools/analyze checks
 // arm_park() literals against the chaos.hpp roster.
 namespace magazine_sync {
 inline constexpr const char* kRefill = "magazine.refill";

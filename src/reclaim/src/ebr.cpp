@@ -60,6 +60,16 @@ void EbrDomain::collect() {
   const std::size_t s = util::ThreadRegistry::self();
   try_advance();
   drain(*slots_[s], /*force=*/false);
+  // An exited thread's limbo would otherwise wait for its slot's next
+  // owner. Adopting the slot makes this thread its owner for the drain,
+  // so the deleters' slot-keyed contexts (MCAS descriptor caches) and the
+  // single-writer counters never see two writers.
+  const std::size_t n = util::ThreadRegistry::high_watermark();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == s || !util::ThreadRegistry::try_adopt(i)) continue;
+    drain(*slots_[i], /*force=*/false);
+    util::ThreadRegistry::release(i);
+  }
 }
 
 bool EbrDomain::try_advance() {

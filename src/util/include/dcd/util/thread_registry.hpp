@@ -31,6 +31,13 @@ class ThreadRegistry {
   // True if the slot is currently owned by a live thread.
   static bool slot_live(std::size_t slot);
 
+  // Takes a released slot on behalf of the calling thread, which keeps its
+  // own slot: until release(slot) the caller is that slot's exclusive
+  // owner, and no new thread can claim it. False if the slot is live.
+  // Used to drain per-slot state that an exited thread left behind.
+  static bool try_adopt(std::size_t slot);
+  static void release(std::size_t slot);
+
  private:
   struct Slot {
     std::atomic<bool> taken{false};

@@ -13,9 +13,7 @@ struct ThreadRegistry::Lease {
   std::size_t slot = kMaxThreads;
 
   ~Lease() {
-    if (slot < kMaxThreads) {
-      slots_[slot]->taken.store(false, std::memory_order_release);
-    }
+    if (slot < kMaxThreads) release(slot);
   }
 };
 
@@ -50,6 +48,21 @@ std::size_t ThreadRegistry::high_watermark() {
 bool ThreadRegistry::slot_live(std::size_t slot) {
   return slot < kMaxThreads &&
          slots_[slot]->taken.load(std::memory_order_acquire);
+}
+
+bool ThreadRegistry::try_adopt(std::size_t slot) {
+  bool expected = false;
+  // The load keeps scans over live slots free of RMWs. Acquire pairs with
+  // the exiting owner's release, so its slot-private state is visible to
+  // the adopter.
+  return slot < kMaxThreads &&
+         !slots_[slot]->taken.load(std::memory_order_acquire) &&
+         slots_[slot]->taken.compare_exchange_strong(
+             expected, true, std::memory_order_acq_rel);
+}
+
+void ThreadRegistry::release(std::size_t slot) {
+  slots_[slot]->taken.store(false, std::memory_order_release);
 }
 
 }  // namespace dcd::util

@@ -28,8 +28,8 @@ TEST(Cmpxchg16b, TelemetryCountsOnlyExecutedHardwareOps) {
   // never executed). read() is not a policy-level op and must not count.
   Telemetry::reset();
   AdjacentPair p;
-  p.lo.store(1);
-  p.hi.store(2);
+  p.lo.store(1, std::memory_order_relaxed);
+  p.hi.store(2, std::memory_order_relaxed);
   EXPECT_TRUE(Cmpxchg16bDcas::dcas(p, 1, 2, 3, 4));    // success
   EXPECT_FALSE(Cmpxchg16bDcas::dcas(p, 1, 2, 9, 9));   // failure
   EXPECT_FALSE(Cmpxchg16bDcas::dcas(p, 1, 2, 9, 9));   // failure
@@ -45,14 +45,14 @@ TEST(Cmpxchg16b, TelemetryCountsOnlyExecutedHardwareOps) {
 
 TEST(Cmpxchg16b, SuccessAndFailure) {
   AdjacentPair p;
-  p.lo.store(1);
-  p.hi.store(2);
+  p.lo.store(1, std::memory_order_relaxed);
+  p.hi.store(2, std::memory_order_relaxed);
   EXPECT_TRUE(Cmpxchg16bDcas::dcas(p, 1, 2, 3, 4));
-  EXPECT_EQ(p.lo.load(), 3u);
-  EXPECT_EQ(p.hi.load(), 4u);
+  EXPECT_EQ(p.lo.load(std::memory_order_relaxed), 3u);
+  EXPECT_EQ(p.hi.load(std::memory_order_relaxed), 4u);
   EXPECT_FALSE(Cmpxchg16bDcas::dcas(p, 1, 2, 9, 9));
-  EXPECT_EQ(p.lo.load(), 3u);
-  EXPECT_EQ(p.hi.load(), 4u);
+  EXPECT_EQ(p.lo.load(std::memory_order_relaxed), 3u);
+  EXPECT_EQ(p.hi.load(std::memory_order_relaxed), 4u);
 }
 
 TEST(Cmpxchg16b, ReadIsAtomicPair) {
@@ -72,7 +72,7 @@ TEST(Cmpxchg16b, ReadIsAtomicPair) {
     Cmpxchg16bDcas::read(p, lo, hi);
     ASSERT_EQ(lo, hi);
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_relaxed);
   writer.join();
 }
 
@@ -95,8 +95,9 @@ TEST(Cmpxchg16b, ConcurrentPairedIncrements) {
     });
   }
   for (auto& t : ts) t.join();
-  EXPECT_EQ(p.lo.load(), static_cast<std::uint64_t>(kThreads * kIters));
-  EXPECT_EQ(p.hi.load(), static_cast<std::uint64_t>(kThreads * kIters));
+  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads * kIters);
+  EXPECT_EQ(p.lo.load(std::memory_order_relaxed), kTotal);
+  EXPECT_EQ(p.hi.load(std::memory_order_relaxed), kTotal);
 }
 
 #endif  // __x86_64__

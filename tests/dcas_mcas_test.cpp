@@ -34,9 +34,9 @@ TEST(Mcas, LoadNeverReturnsMarkedWord) {
   });
   for (int i = 0; i < 50000; ++i) {
     const std::uint64_t v = McasDcas::load(a);
-    ASSERT_EQ(v & kDescriptorBit, 0u) << "descriptor leaked to a reader";
+    ASSERT_FALSE(is_descriptor(v)) << "descriptor leaked to a reader";
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_relaxed);
   churn.join();
 }
 
@@ -60,7 +60,7 @@ TEST(Mcas, SnapshotIsAtomicPair) {
     McasDcas::snapshot(a, b, va, vb);
     ASSERT_EQ(va, vb) << "snapshot observed a torn pair";
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_relaxed);
   for (auto& w : writers) w.join();
 }
 
@@ -96,9 +96,9 @@ TEST(Mcas, HelpersCompleteAStalledOperation) {
 }
 
 TEST(Mcas, DescriptorsAreReclaimed) {
-  // Exited threads from other tests may have stranded retired descriptors
-  // in their (now unowned) slots, so measure this thread's *delta*: our
-  // own retires must drain once we quiesce and collect.
+  // Measure this thread's *delta* over whatever earlier tests left in
+  // the global domain: our own retires must drain once we quiesce and
+  // collect.
   auto& domain = dcd::reclaim::global_ebr_domain();
   domain.collect();
   const std::uint64_t base = domain.pending_count();
@@ -155,7 +155,7 @@ TEST(Mcas, ThreadChurnStrandsNoDescriptors) {
       ts.emplace_back([&] {
         const std::size_t s = dcd::util::ThreadRegistry::self();
         ASSERT_LT(s, 64u);
-        slots_seen.fetch_or(std::uint64_t{1} << s);
+        slots_seen.fetch_or(std::uint64_t{1} << s, std::memory_order_relaxed);
         Word a(val(0)), b(val(0));
         std::uint64_t x = 0;
         for (int chunk = 0; chunk < kChunks; ++chunk) {
@@ -170,14 +170,31 @@ TEST(Mcas, ThreadChurnStrandsNoDescriptors) {
     for (auto& t : ts) t.join();
   }
   const auto after = McasDcas::descriptor_cache_stats();
-  const auto slots =
-      static_cast<std::uint64_t>(__builtin_popcountll(slots_seen.load()));
+  const auto slots = static_cast<std::uint64_t>(
+      __builtin_popcountll(slots_seen.load(std::memory_order_relaxed)));
   EXPECT_LE(slots, static_cast<std::uint64_t>(kLive + 1));
   EXPECT_EQ(after.heap_fallbacks, before.heap_fallbacks);
   EXPECT_LE(after.mcas_pool_draws - before.mcas_pool_draws,
             McasDcas::kDescCacheCap * slots);
   EXPECT_LE(after.rdcss_pool_draws - before.rdcss_pool_draws,
             McasDcas::kDescCacheCap * slots);
+}
+
+TEST(Mcas, CollectDrainsAnExitedThreadsDescriptors) {
+  // Descriptors retired by a thread that then exits sit in its released
+  // slot's limbo. collect() adopts the slot for the drain, so they go back
+  // to that slot's cache without racing a new owner of the slot.
+  auto& domain = dcd::reclaim::global_ebr_domain();
+  dcd::util::ThreadRegistry::self();  // keep this thread off the dead slot
+  std::thread([] {
+    Word a(val(0)), b(val(0));
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(McasDcas::dcas(a, b, val(i), val(i), val(i + 1), val(i + 1)));
+    }
+  }).join();
+  ASSERT_GT(domain.pending_count(), 0u);
+  for (int i = 0; i < 3; ++i) domain.collect();
+  EXPECT_EQ(domain.freed_count(), domain.retired_count());
 }
 
 TEST(Mcas, ManyWordsManyThreadsNoLostUpdates) {

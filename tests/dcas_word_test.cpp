@@ -87,9 +87,9 @@ TEST(WordEncoding, ElimTakenIsASpecialDistinctFromTheOthers) {
 
 TEST(WordEncoding, WordValueInitialisesToZero) {
   Word w{};  // value-init zeroes; default-init is deliberately a no-op
-  EXPECT_EQ(w.raw.load(), 0u);
+  EXPECT_EQ(w.raw.load(std::memory_order_relaxed), 0u);
   Word w2(kSentL);
-  EXPECT_EQ(w2.raw.load(), kSentL);
+  EXPECT_EQ(w2.raw.load(std::memory_order_relaxed), kSentL);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ TYPED_TEST(ArrayStressTest, NoLossNoDuplication) {
           ASSERT_EQ(d.push_left(v), PushResult::kOkay);
         }
       }
-      producers_left.fetch_sub(1);
+      producers_left.fetch_sub(1, std::memory_order_release);
     });
   }
   for (int c = 0; c < kConsumers; ++c) {
@@ -63,7 +63,7 @@ TYPED_TEST(ArrayStressTest, NoLossNoDuplication) {
         auto v = (c % 2 == 0) ? d.pop_left() : d.pop_right();
         if (v.has_value()) {
           popped[c].push_back(*v);
-        } else if (producers_left.load() == 0) {
+        } else if (producers_left.load(std::memory_order_acquire) == 0) {
           // One more sweep: producers are done, deque may still be empty
           // transiently from this end only.
           auto v2 = (c % 2 == 0) ? d.pop_right() : d.pop_left();
@@ -127,13 +127,17 @@ TYPED_TEST(ArrayStressTest, LastItemRace) {
   auto popper = [&](bool right) {
     barrier.arrive_and_wait();
     std::uint64_t got = 0;
-    while (got * 2 < kRounds || popped_count.load() < kRounds) {
+    while (got * 2 < kRounds ||
+           popped_count.load(std::memory_order_relaxed) < kRounds) {
       auto v = right ? d.pop_right() : d.pop_left();
       if (v.has_value()) {
         ++got;
-        if (popped_count.fetch_add(1) + 1 >= kRounds) break;
+        if (popped_count.fetch_add(1, std::memory_order_relaxed) + 1 >=
+            kRounds) {
+          break;
+        }
       }
-      if (popped_count.load() >= kRounds) break;
+      if (popped_count.load(std::memory_order_relaxed) >= kRounds) break;
     }
   };
   std::thread right_popper(popper, true);
@@ -144,7 +148,8 @@ TYPED_TEST(ArrayStressTest, LastItemRace) {
   // All pushed items were eventually popped (none lost to the race).
   std::size_t residue = 0;
   while (d.pop_left()) ++residue;
-  EXPECT_EQ(popped_count.load() + residue, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(popped_count.load(std::memory_order_relaxed) + residue,
+            static_cast<std::uint64_t>(kRounds));
 }
 
 }  // namespace

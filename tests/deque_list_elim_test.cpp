@@ -32,7 +32,7 @@ constexpr ListOptions kElim{.elimination = true,
 template <dcas::DcasPolicy P>
 using ElimDeque = ListDeque<std::uint64_t, P, EbrReclaim, MagazinePool, kElim>;
 
-std::uint64_t word_of(std::uint64_t v) { return v << dcas::kPayloadShift; }
+std::uint64_t word_of(std::uint64_t v) { return dcas::encode_payload(v); }
 
 // --- slot protocol ----------------------------------------------------------
 

@@ -50,7 +50,7 @@ TYPED_TEST(ListStressTest, NoLossNoDuplication) {
           ASSERT_EQ(d.push_left(v), PushResult::kOkay);
         }
       }
-      producers_left.fetch_sub(1);
+      producers_left.fetch_sub(1, std::memory_order_release);
     });
   }
   for (int c = 0; c < kConsumers; ++c) {
@@ -62,7 +62,7 @@ TYPED_TEST(ListStressTest, NoLossNoDuplication) {
         if (v.has_value()) {
           popped[c].push_back(*v);
           dry_sweeps = 0;
-        } else if (producers_left.load() == 0) {
+        } else if (producers_left.load(std::memory_order_acquire) == 0) {
           ++dry_sweeps;
         }
       }
@@ -129,7 +129,8 @@ TYPED_TEST(ListStressTest, BoundedPoolSustainsConcurrentTraffic) {
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&, t] {
       barrier.arrive_and_wait();
-      for (std::uint64_t i = 0; i < kIters && !stuck.load(); ++i) {
+      for (std::uint64_t i = 0;
+           i < kIters && !stuck.load(std::memory_order_relaxed); ++i) {
         int tries = 0;
         while (d.push_right((static_cast<std::uint64_t>(t) << 32) | i) !=
                PushResult::kOkay) {
@@ -137,30 +138,31 @@ TYPED_TEST(ListStressTest, BoundedPoolSustainsConcurrentTraffic) {
           d.reclaimer().collect();
           std::this_thread::yield();
           if (++tries > 200000) {
-            stuck.store(true);
+            stuck.store(true, std::memory_order_relaxed);
             break;
           }
         }
-        if (stuck.load()) break;
+        if (stuck.load(std::memory_order_relaxed)) break;
         auto v = (t % 2 == 0) ? d.pop_left() : d.pop_right();
-        if (v.has_value()) ok_pops.fetch_add(1);
+        if (v.has_value()) ok_pops.fetch_add(1, std::memory_order_relaxed);
       }
-      // Stay alive and keep draining this slot's limbo until everyone is
-      // done — a thread that exits strands its retired nodes until the
-      // deque is destroyed, which could starve a straggler's allocations.
-      finished.fetch_add(1);
-      while (finished.load() < kThreads && !stuck.load()) {
+      // Stay alive and keep collecting until everyone is done, so a
+      // straggler's allocations never wait on this thread's limbo.
+      finished.fetch_add(1, std::memory_order_relaxed);
+      while (finished.load(std::memory_order_relaxed) < kThreads &&
+             !stuck.load(std::memory_order_relaxed)) {
         d.reclaimer().collect();
         std::this_thread::yield();
       }
     });
   }
   for (auto& t : ts) t.join();
-  ASSERT_FALSE(stuck.load()) << "reclamation never freed pool nodes";
+  ASSERT_FALSE(stuck.load(std::memory_order_relaxed))
+      << "reclamation never freed pool nodes";
   // All kThreads * kIters pushes eventually succeeded through a pool a
   // fraction of that size, so nodes demonstrably recycled. Conservation:
   EXPECT_EQ(d.size_unsynchronized(),
-            kThreads * kIters - ok_pops.load());
+            kThreads * kIters - ok_pops.load(std::memory_order_relaxed));
 }
 
 }  // namespace

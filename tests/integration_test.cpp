@@ -44,7 +44,7 @@ std::uint64_t run_work_stealing(MakeDeque make_deque, int workers,
 
   for (std::uint64_t i = 0; i < seed_tasks; ++i) {
     const std::uint64_t task = (3ull << 32) | (i + 1);
-    outstanding.fetch_add(1);
+    outstanding.fetch_add(1, std::memory_order_relaxed);
     EXPECT_EQ(deques[i % workers]->push_right(task), PushResult::kOkay);
   }
 
@@ -85,7 +85,7 @@ std::uint64_t run_work_stealing(MakeDeque make_deque, int workers,
     });
   }
   for (auto& t : threads) t.join();
-  return sum.load();
+  return sum.load(std::memory_order_relaxed);
 }
 
 TEST(Integration, WorkStealingSumMatchesOnArrayDeque) {
@@ -177,7 +177,7 @@ TEST(Integration, AbpDequeRunsTheStealWorkload) {
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::int64_t> outstanding{0};
   for (std::uint64_t i = 0; i < kSeeds; ++i) {
-    outstanding.fetch_add(1);
+    outstanding.fetch_add(1, std::memory_order_relaxed);
     ASSERT_EQ(deques[i % kWorkers]->push_bottom((3ull << 32) | (i + 1)),
               PushResult::kOkay);
   }
@@ -217,7 +217,7 @@ TEST(Integration, AbpDequeRunsTheStealWorkload) {
   for (auto& t : threads) t.join();
   std::uint64_t expect = 0;
   for (std::uint64_t i = 0; i < kSeeds; ++i) expect += 8 * (i + 1);
-  EXPECT_EQ(sum.load(), expect);
+  EXPECT_EQ(sum.load(std::memory_order_relaxed), expect);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "dcd/reclaim/ebr.hpp"
 #include "dcd/util/barrier.hpp"
+#include "dcd/util/thread_registry.hpp"
 
 namespace {
 
@@ -15,21 +16,21 @@ using dcd::reclaim::EbrDomain;
 
 struct Tracked {
   static std::atomic<int> live;
-  Tracked() { live.fetch_add(1); }
-  ~Tracked() { live.fetch_sub(1); }
+  Tracked() { live.fetch_add(1, std::memory_order_relaxed); }
+  ~Tracked() { live.fetch_sub(1, std::memory_order_relaxed); }
 };
 std::atomic<int> Tracked::live{0};
 
 TEST(Ebr, RetireDefersUntilCollect) {
   EbrDomain domain;
   auto* p = new Tracked;
-  EXPECT_EQ(Tracked::live.load(), 1);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 1);
   domain.retire_delete(p);
   EXPECT_EQ(domain.retired_count(), 1u);
   // With no pinned threads, a few collect()s advance the epoch enough to
   // free the object.
   for (int i = 0; i < 4; ++i) domain.collect();
-  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 0);
   EXPECT_EQ(domain.freed_count(), 1u);
 }
 
@@ -41,10 +42,10 @@ TEST(Ebr, GuardBlocksReclamation) {
     domain.retire_delete(p);
     for (int i = 0; i < 8; ++i) domain.collect();
     // Our own pin holds the epoch: the object must still be alive.
-    EXPECT_EQ(Tracked::live.load(), 1);
+    EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 1);
   }
   for (int i = 0; i < 4; ++i) domain.collect();
-  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 0);
 }
 
 TEST(Ebr, RemoteGuardBlocksReclamation) {
@@ -53,20 +54,21 @@ TEST(Ebr, RemoteGuardBlocksReclamation) {
   std::atomic<bool> release{false};
   std::thread reader([&] {
     EbrDomain::Guard guard(domain);
-    pinned.store(true);
-    while (!release.load()) std::this_thread::yield();
+    pinned.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
   });
-  while (!pinned.load()) std::this_thread::yield();
+  while (!pinned.load(std::memory_order_acquire)) std::this_thread::yield();
 
   auto* p = new Tracked;
   domain.retire_delete(p);
   for (int i = 0; i < 8; ++i) domain.collect();
-  EXPECT_EQ(Tracked::live.load(), 1) << "freed under a remote pin";
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 1)
+      << "freed under a remote pin";
 
-  release.store(true);
+  release.store(true, std::memory_order_release);
   reader.join();
   for (int i = 0; i < 4; ++i) domain.collect();
-  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 0);
 }
 
 TEST(Ebr, GuardsAreReentrant) {
@@ -80,7 +82,7 @@ TEST(Ebr, GuardsAreReentrant) {
   auto* p = new Tracked;
   domain.retire_delete(p);
   for (int i = 0; i < 8; ++i) domain.collect();
-  EXPECT_EQ(Tracked::live.load(), 1);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 1);
 }
 
 TEST(Ebr, NestedGuardExitOrderingHoldsPin) {
@@ -89,7 +91,7 @@ TEST(Ebr, NestedGuardExitOrderingHoldsPin) {
   // the outermost guard exits. This is the property the analyzer's
   // guard pass assumes when it treats an enclosing scope as covering
   // every deref (and nested Guard) inside it.
-  const int base = Tracked::live.load();
+  const int base = Tracked::live.load(std::memory_order_relaxed);
   EbrDomain domain;
   auto* p = new Tracked;
   {
@@ -100,17 +102,17 @@ TEST(Ebr, NestedGuardExitOrderingHoldsPin) {
     }
     // `inner` has exited; `outer` must still hold the pin.
     for (int i = 0; i < 8; ++i) domain.collect();
-    EXPECT_EQ(Tracked::live.load(), base + 1)
+    EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base + 1)
         << "inner guard exit unpinned the slot under a live outer guard";
   }
   for (int i = 0; i < 4; ++i) domain.collect();
-  EXPECT_EQ(Tracked::live.load(), base);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base);
 }
 
 TEST(Ebr, DeepReentrancyUnwindsToQuiescent) {
   // A deep stack of same-domain guards (well past any drain threshold)
   // pins exactly once and unpins exactly once, at full unwind.
-  const int base = Tracked::live.load();
+  const int base = Tracked::live.load(std::memory_order_relaxed);
   EbrDomain domain;
   auto* p = new Tracked;
   std::function<void(int)> nest = [&](int depth) {
@@ -121,19 +123,19 @@ TEST(Ebr, DeepReentrancyUnwindsToQuiescent) {
     }
     domain.retire_delete(p);
     for (int i = 0; i < 8; ++i) domain.collect();
-    EXPECT_EQ(Tracked::live.load(), base + 1);
+    EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base + 1);
   };
   nest(32);
   // All 33 guards unwound: the slot is quiescent again.
   for (int i = 0; i < 4; ++i) domain.collect();
-  EXPECT_EQ(Tracked::live.load(), base);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base);
 }
 
 TEST(Ebr, CrossDomainNestedGuardsExitIndependently) {
   // The MCAS engine pins its own domain inside deque operations that
   // already hold a guard on another domain; each domain's pin must
   // track its own guard scope only.
-  const int base = Tracked::live.load();
+  const int base = Tracked::live.load(std::memory_order_relaxed);
   EbrDomain outer_dom;
   EbrDomain inner_dom;
   auto* po = new Tracked;
@@ -148,7 +150,7 @@ TEST(Ebr, CrossDomainNestedGuardsExitIndependently) {
         outer_dom.collect();
         inner_dom.collect();
       }
-      EXPECT_EQ(Tracked::live.load(), base + 2);
+      EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base + 2);
     }
     // inner_dom is quiescent, outer_dom still pinned: exactly the
     // inner domain's object may free.
@@ -156,24 +158,24 @@ TEST(Ebr, CrossDomainNestedGuardsExitIndependently) {
       outer_dom.collect();
       inner_dom.collect();
     }
-    EXPECT_EQ(Tracked::live.load(), base + 1)
+    EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base + 1)
         << "outer domain freed under its own live guard";
   }
   for (int i = 0; i < 4; ++i) outer_dom.collect();
-  EXPECT_EQ(Tracked::live.load(), base);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base);
 }
 
 TEST(Ebr, DestructorFreesEverything) {
   {
     EbrDomain domain;
     for (int i = 0; i < 100; ++i) domain.retire_delete(new Tracked);
-    EXPECT_GT(Tracked::live.load(), 0);
+    EXPECT_GT(Tracked::live.load(std::memory_order_relaxed), 0);
   }
-  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), 0);
 }
 
 TEST(Ebr, EpochAdvancesUnderConcurrentGuards) {
-  const int base_live = Tracked::live.load();
+  const int base_live = Tracked::live.load(std::memory_order_relaxed);
   std::uint64_t freed_mid = 0, retired_mid = 0;
   {
     EbrDomain domain;
@@ -202,14 +204,14 @@ TEST(Ebr, EpochAdvancesUnderConcurrentGuards) {
     EXPECT_GT(freed_mid, 0u) << "epochs never advanced";
   }
   // Destruction force-drains every slot: nothing may survive.
-  EXPECT_EQ(Tracked::live.load(), base_live);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base_live);
 }
 
 TEST(Ebr, PerSlotCountsSumExactlyAcrossThreads) {
   // retired_count()/freed_count() sum per-slot counters. Once every
   // retiring thread has quiesced and drained its own slot, the sums are
   // exact: nothing is lost between slots and nothing is counted twice.
-  const int base_live = Tracked::live.load();
+  const int base_live = Tracked::live.load(std::memory_order_relaxed);
   EbrDomain domain;
   constexpr int kThreads = 4;
   constexpr int kRetires = 1000;
@@ -232,7 +234,29 @@ TEST(Ebr, PerSlotCountsSumExactlyAcrossThreads) {
   EXPECT_EQ(domain.retired_count(), kTotal);
   EXPECT_EQ(domain.freed_count(), kTotal);
   EXPECT_EQ(domain.pending_count(), 0u);
-  EXPECT_EQ(Tracked::live.load(), base_live);
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base_live);
+}
+
+TEST(Ebr, CollectDrainsAnExitedThreadsLimbo) {
+  // A thread that retires and exits leaves its limbo in a released registry
+  // slot. collect() on another thread adopts that slot and drains it, so
+  // the nodes do not wait for the slot's next owner (footnote 3: an empty
+  // pool must mean memory is exhausted, not that a dead thread holds it).
+  const int base_live = Tracked::live.load(std::memory_order_relaxed);
+  dcd::util::ThreadRegistry::self();  // keep this thread off the dead slot
+  EbrDomain domain;
+  constexpr std::uint64_t kRetires = 100;
+  std::thread([&] {
+    for (std::uint64_t i = 0; i < kRetires; ++i) {
+      EbrDomain::Guard guard(domain);
+      domain.retire_delete(new Tracked);
+    }
+  }).join();
+  ASSERT_EQ(domain.retired_count(), kRetires);
+  ASSERT_GT(domain.pending_count(), 0u);
+  for (int i = 0; i < 3; ++i) domain.collect();
+  EXPECT_EQ(domain.freed_count(), domain.retired_count());
+  EXPECT_EQ(Tracked::live.load(std::memory_order_relaxed), base_live);
 }
 
 TEST(Ebr, StressNoUseAfterFree) {
@@ -253,7 +277,7 @@ TEST(Ebr, StressNoUseAfterFree) {
         EbrDomain::Guard guard(domain);
         Node* n = shared.load(std::memory_order_acquire);
         if (n->canary != 0xfeedfacecafebeefull) {
-          bad.fetch_add(1);
+          bad.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -272,8 +296,8 @@ TEST(Ebr, StressNoUseAfterFree) {
   }
   stop.store(true, std::memory_order_release);
   for (auto& r : readers) r.join();
-  EXPECT_EQ(bad.load(), 0u);
-  delete shared.load();
+  EXPECT_EQ(bad.load(std::memory_order_relaxed), 0u);
+  delete shared.load(std::memory_order_relaxed);
 }
 
 }  // namespace

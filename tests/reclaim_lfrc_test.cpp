@@ -33,9 +33,9 @@ struct Obj {
   explicit Obj(std::uint64_t t) : tag(t) {
     Lfrc<Obj, P>::init_count(this);
     P::store_init(child, 0);
-    g_live.fetch_add(1);
+    g_live.fetch_add(1, std::memory_order_relaxed);
   }
-  ~Obj() { g_live.fetch_sub(1); }
+  ~Obj() { g_live.fetch_sub(1, std::memory_order_relaxed); }
   // Heap-backed dispose: fine for the sequential tests, which never race a
   // load against a free (the concurrency test below uses pooled storage,
   // per LFRC's type-stability requirement).
@@ -65,11 +65,11 @@ struct PoolObj {
     auto* o = static_cast<PoolObj*>(raw);
     o->tag = t;
     Lfrc<PoolObj, P>::init_count(o);
-    g_live.fetch_add(1);
+    g_live.fetch_add(1, std::memory_order_relaxed);
     return o;
   }
   void lfrc_dispose() {
-    g_live.fetch_sub(1);
+    g_live.fetch_sub(1, std::memory_order_relaxed);
     tag = 0;
     pool().deallocate(this);
   }
@@ -81,8 +81,10 @@ class LfrcTest : public ::testing::Test {
   using O = Obj<P>;
   using R = Lfrc<O, P>;
 
-  void SetUp() override { g_live.store(0); }
-  void TearDown() override { EXPECT_EQ(g_live.load(), 0) << "leak"; }
+  void SetUp() override { g_live.store(0, std::memory_order_relaxed); }
+  void TearDown() override {
+    EXPECT_EQ(g_live.load(std::memory_order_relaxed), 0) << "leak";
+  }
 };
 
 using Policies = ::testing::Types<GlobalLockDcas, StripedLockDcas, McasDcas>;
@@ -147,7 +149,7 @@ TYPED_TEST(LfrcTest, ReleaseCascadesThroughChildren) {
   R::store_private(parent->child, child);  // transfers our unit on child
   EXPECT_EQ(R::count(child), 1);
   R::destroy(parent);  // must free both
-  EXPECT_EQ(g_live.load(), 0);
+  EXPECT_EQ(g_live.load(std::memory_order_relaxed), 0);
 }
 
 TYPED_TEST(LfrcTest, ConcurrentLoadersNeverSeeFreedObjects) {
@@ -171,7 +173,7 @@ TYPED_TEST(LfrcTest, ConcurrentLoadersNeverSeeFreedObjects) {
       while (!stop.load(std::memory_order_acquire)) {
         O* o = R::load(slot);
         if (o != nullptr) {
-          if (o->tag != 0xfeedface) bad.fetch_add(1);
+          if (o->tag != 0xfeedface) bad.fetch_add(1, std::memory_order_relaxed);
           R::destroy(o);
         }
       }
@@ -191,7 +193,7 @@ TYPED_TEST(LfrcTest, ConcurrentLoadersNeverSeeFreedObjects) {
   }
   stop.store(true, std::memory_order_release);
   for (auto& r : readers) r.join();
-  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(bad.load(std::memory_order_relaxed), 0u);
   // Tear down the slot's final object.
   O* last = R::load(slot);
   ASSERT_TRUE(R::cas(slot, last, nullptr));
@@ -218,7 +220,8 @@ TYPED_TEST(LfrcStackTest, SequentialLifo) {
 }
 
 TYPED_TEST(LfrcStackTest, DestructorDrainsWithoutLeaks) {
-  g_live.store(0);  // Obj counter unused here; rely on heap sanity
+  // Obj counter unused here; rely on heap sanity.
+  g_live.store(0, std::memory_order_relaxed);
   {
     LfrcStack<std::uint64_t, TypeParam> s;
     for (std::uint64_t i = 0; i < 5000; ++i) s.push(i);

@@ -98,10 +98,10 @@ TEST(MagazinePool, HookFiresOnRefillAndFlushWindows) {
   magazine_hook().store(
       +[](const char* point) {
         if (point == std::string_view(dcd::reclaim::magazine_sync::kRefill)) {
-          refills.fetch_add(1);
+          refills.fetch_add(1, std::memory_order_relaxed);
         }
         if (point == std::string_view(dcd::reclaim::magazine_sync::kFlush)) {
-          flushes.fetch_add(1);
+          flushes.fetch_add(1, std::memory_order_relaxed);
         }
       },
       std::memory_order_release);
@@ -112,8 +112,8 @@ TEST(MagazinePool, HookFiresOnRefillAndFlushWindows) {
     for (auto& p : ps) pool.deallocate(p);
   }
   magazine_hook().store(nullptr, std::memory_order_release);
-  EXPECT_GE(refills.load(), 1);
-  EXPECT_GE(flushes.load(), 1);
+  EXPECT_GE(refills.load(std::memory_order_relaxed), 1);
+  EXPECT_GE(flushes.load(std::memory_order_relaxed), 1);
 }
 
 TEST(MagazinePool, DeadThreadInventoryStaysReachableViaSweep) {
@@ -203,7 +203,7 @@ TEST(MagazinePool, ConcurrentRefillChainDetachStress) {
     }
     for (auto& t : ts) t.join();
   }
-  EXPECT_GT(served.load(), 0u);
+  EXPECT_GT(served.load(std::memory_order_relaxed), 0u);
   EXPECT_EQ(pool.live(), 0u);
   std::size_t count = 0;
   while (pool.allocate() != nullptr) ++count;

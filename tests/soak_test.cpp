@@ -66,7 +66,7 @@ TEST(SoakTest, DISABLED_ListReclamationEndurance) {
       for (std::uint64_t i = 0; i < kIters; ++i) {
         if (d.push_right((static_cast<std::uint64_t>(t) << 32) | i) ==
             PushResult::kFull) {
-          fulls.fetch_add(1);
+          fulls.fetch_add(1, std::memory_order_relaxed);
           d.reclaimer().collect();
         }
         (void)(t % 2 == 0 ? d.pop_left() : d.pop_right());

@@ -237,16 +237,18 @@ TEST(Barrier, ReleasesAllParties) {
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&] {
       for (int r = 0; r < kRounds; ++r) {
-        in_round.fetch_add(1);
+        in_round.fetch_add(1, std::memory_order_relaxed);
         barrier.arrive_and_wait();
         // All kThreads must have arrived before anyone proceeds.
-        if (in_round.load() < kThreads * (r + 1)) failed.store(true);
+        if (in_round.load(std::memory_order_relaxed) < kThreads * (r + 1)) {
+          failed.store(true, std::memory_order_relaxed);
+        }
         barrier.arrive_and_wait();
       }
     });
   }
   for (auto& t : ts) t.join();
-  EXPECT_FALSE(failed.load());
+  EXPECT_FALSE(failed.load(std::memory_order_relaxed));
 }
 
 TEST(Stats, SummaryMatchesHandComputation) {

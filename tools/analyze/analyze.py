@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """AST-grade concurrency analyzer for the DCAS deque tree.
 
-Nine passes over src/ (see passes.py and tools/analyze/README.md):
+Ten passes (see passes.py and tools/analyze/README.md); the first nine
+model src/, the hygiene pass reads src/, tests/ and bench/:
 
   contract     every atomic access checked against the per-field
                memory-order contract table in contracts.toml (pairing,
                guard loads, operator-form implicit accesses)
   sync         every CAS/DCAS call site in src/deque, src/reclaim, src/dcas
-               maps to a classified sync point from chaos.hpp's roster
-               (the inverse of tools/lint's registry-side check)
+               maps to a classified sync point from chaos.hpp's roster,
+               and every sync point named by string (arm_park("...")
+               literals, the replay corpus's expect-shape:/chaos-park:
+               directives) is in that roster
   progress     every CAS-failure retry loop reaches a backoff/elimination/
                helping edge on its failure path (the non-blocking claim as
                a CFG obligation)
@@ -43,14 +46,18 @@ Nine passes over src/ (see passes.py and tools/analyze/README.md):
                must be licensed by an edge or DCD_HB_EXEMPT(why); each
                edge cross-references a chaos sync point or mc scenario,
                and the map is rendered into docs/HB_MAP.md
+  hygiene      over src/, tests/ and bench/: every atomic member call
+               states its memory_order, no raw new/delete in src/deque or
+               src/reclaim, every DCD_NO_SANITIZE_* carries a
+               justification comment, and the reserved tag bits appear
+               only in word.hpp
 
 Plus the annotation roster check: any DCD_* token outside the known set
 ([annotations] in contracts.toml) is an `unknown-annotation` finding.
 
-Exit codes: 0 clean, 1 findings, 2 configuration error — matching
-tools/lint/atomics_audit.py, whose suppression-file format this tool
-shares via tools/pylib/suppressions.py
-(`<path-suffix> : <rule> : <substring>  # justification`).
+Exit codes: 0 clean, 1 findings, 2 configuration error. Findings are
+suppressed by analyze.suppressions entries (suppressions.py:
+`<path-suffix> : <rule> : <substring>  # justification`).
 
 Frontends: the token frontend (cpp_model.py) is dependency-free and
 authoritative. When the clang python bindings + compile_commands.json are
@@ -70,7 +77,6 @@ import re
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "pylib"))
 
 import cpp_model as cm
 import passes
@@ -109,6 +115,9 @@ RULE_IDS = (
     # pass 9: hb
     "unrostered-hb-edge", "one-sided-hb-edge", "fence-without-edge",
     "insufficient-order-for-edge",
+    # pass 10: hygiene
+    "implicit-seq-cst", "raw-new-delete", "unjustified-nosanitize",
+    "tag-bits-outside-word",
     # cross-cutting
     "unknown-annotation", "malformed-annotation", "frontend-divergence",
 )
@@ -119,18 +128,15 @@ def config_error(msg: str) -> None:
     raise SystemExit(2)
 
 
-# --- suppressions (shared format/parser: tools/pylib/suppressions.py) ------
+# --- suppressions (format and matching: suppressions.py) -------------------
 #
-# This tool opts into wildcards: `*` is accepted for the path-suffix and
-# rule fields, and the substring is matched against both the snippet and
-# the finding message (tools/lint keeps its stricter exact-match rules).
+# The substring is matched against both the snippet and the message.
 
 Suppression = sup.Suppression
 
 
 def parse_suppressions(text: str, origin: str) -> list[sup.Suppression]:
-    return sup.parse(text, origin, RULE_IDS, allow_wildcards=True,
-                     on_error=config_error)
+    return sup.parse(text, origin, RULE_IDS, on_error=config_error)
 
 
 def apply_suppressions(findings: list[passes.Finding],
@@ -184,6 +190,27 @@ def build_models(root: pathlib.Path,
                     "driver", "malformed-annotation", rel, line, msg,
                     cm.line_text_at(model.lines, line).strip()[:160]))
     return models, malformed
+
+
+def build_source_models(root: pathlib.Path,
+                        models: list[cm.FileModel]) -> list[cm.FileModel]:
+    """`models` plus a text model of every other C++ file the repo-wide
+    rules read (the hygiene and sync-reference directories)."""
+    sources = list(models)
+    seen = {m.path for m in models}
+    for d in dict.fromkeys(passes.HYGIENE_DIRS + passes.SYNC_REF_DIRS):
+        for p in sorted((root / d).rglob("*")):
+            rel = p.relative_to(root).as_posix()
+            if (p.suffix in cm.SOURCE_EXTENSIONS and p.is_file()
+                    and rel not in seen):
+                sources.append(cm.build_text_model(rel, p.read_text()))
+    return sources
+
+
+def load_replays(root: pathlib.Path) -> dict[str, str]:
+    corpus = root / passes.REPLAY_CORPUS_DIR
+    return {p.relative_to(root).as_posix(): p.read_text()
+            for p in sorted(corpus.glob("*.repro"))}
 
 
 def load_rosters(root: pathlib.Path,
@@ -266,6 +293,10 @@ def run_analysis(args) -> int:
     codec_aux = load_codec_aux(root, cfg)
     findings = malformed + run_all_passes(models, cfg, roster, clauses,
                                           codec_aux, scenarios)
+    sources = build_source_models(root, models)
+    findings += passes.run_hygiene_pass(sources)
+    findings += passes.run_sync_reference_pass(sources, load_replays(root),
+                                               roster)
 
     if args.frontend in ("auto", "clang"):
         divergences, notes = clang_frontend.cross_check(
@@ -304,7 +335,7 @@ def run_analysis(args) -> int:
         payload = {
             "schema": 1,
             "root": str(root),
-            "files_scanned": len(models),
+            "files_scanned": len(sources),
             "raw_findings": total,
             "suppressed": total - len(findings),
             "findings": [f.to_dict() for f in findings],
@@ -369,7 +400,7 @@ def run_analysis(args) -> int:
                 return 1
 
     if args.verbose or findings:
-        print(f"analyze: {len(models)} files, {total} raw findings, "
+        print(f"analyze: {len(sources)} files, {total} raw findings, "
               f"{total - len(findings)} suppressed, "
               f"{len(findings)} reported, {len(sups) - len(unused)}/"
               f"{len(sups)} suppressions used", file=sys.stderr)
@@ -410,7 +441,7 @@ SELF_TEST_CLAUSES = {"array.index_range", "array.segment_full"}
 
 SELF_TEST_CASES = [
     # (path, source, expected rule ids) — at least one seeded violation per
-    # pass, mirroring tools/lint/atomics_audit.py's convention.
+    # pass.
     ("src/other/contract_bad.hpp",
      "struct Foo {\n"
      "  std::atomic<int> guard_;\n"
@@ -776,6 +807,67 @@ HB_BAD_SRC = (
     "};\n")
 
 
+# Pass 10: (path, source, expected rule ids).
+HYGIENE_CASES = [
+    ("src/deque/include/bad_atomic.hpp",
+     "void f(std::atomic<int>& a) {\n"
+     "  a.load();\n"
+     "  a.store(1);\n"
+     "  a.fetch_add(2, std::memory_order_relaxed);\n"
+     "}\n",
+     ["implicit-seq-cst", "implicit-seq-cst"]),
+    ("src/deque/include/multiline.hpp",
+     "bool g(std::atomic<long>& a, long& e) {\n"
+     "  return a.compare_exchange_strong(\n"
+     "      e, 42,\n"
+     "      std::memory_order_acq_rel);\n"
+     "}\n"
+     "long h(std::atomic<long>& a) {\n"
+     "  return a.load(\n"
+     "  );\n"
+     "}\n",
+     ["implicit-seq-cst"]),
+    ("tests/implicit_load_test.cpp",         # outside pass 1's src scope
+     "TEST(T, Load) { std::atomic<int> a{0}; EXPECT_EQ(a.load(), 0); }\n",
+     ["implicit-seq-cst"]),
+    ("src/deque/include/masked.hpp",
+     "// a.load() in a comment is fine\n"
+     "/* so is a.store(1) here, and new/delete, and kDeletedBit */\n"
+     "const char* s = \"x.load() new kSpecialBit\";\n",
+     []),
+    ("src/reclaim/include/bad_new.hpp",
+     "#include <new>\n"
+     "struct S { S(const S&) = delete; };\n"
+     "S* make() { return new S(); }\n"
+     "void drop(S* n) { delete n; }\n",
+     ["raw-new-delete", "raw-new-delete"]),
+    ("src/util/include/ok_new.hpp",         # outside the reclaim-managed dirs
+     "void f() { auto* p = new int; delete p; }\n",
+     []),
+    ("src/util/include/bad_nosan.hpp",
+     "#define DCD_NO_SANITIZE_THREAD\n"
+     "DCD_NO_SANITIZE_THREAD\n"
+     "void naked() {}\n"
+     "\n"
+     "// LFRC re-init of recycled headers: stale readers discard the value\n"
+     "// via a failed validation DCAS, so the overlap is benign.\n"
+     "DCD_NO_SANITIZE_ADDRESS\n"
+     "void justified() {}\n",
+     ["unjustified-nosanitize"]),
+    ("bench/bad_bits.cpp",
+     "bool weird(std::uint64_t w) {\n"
+     "  return (w & kDeletedBit) != 0;\n"
+     "}\n",
+     ["tag-bits-outside-word"]),
+    ("src/dcas/include/dcd/dcas/word.hpp",  # the one allowed home
+     "inline constexpr std::uint64_t kDeletedBit = 1ull << 1;\n",
+     []),
+    ("examples/out_of_scope.cpp",            # not a hygiene directory
+     "void f(std::atomic<int>& a) { a.load(); }\n",
+     []),
+]
+
+
 def self_test() -> int:
     failures = []
     for path, source, expected in SELF_TEST_CASES:
@@ -836,13 +928,41 @@ def self_test() -> int:
     if any(f.rule == "implicit-operator-access" for f in left) \
             or not sups[0].used:
         failures.append("justified suppression did not apply")
-    try:
-        with contextlib.redirect_stderr(io.StringIO()):
-            parse_suppressions("x.hpp : lp-missing : foo\n", "<selftest>")
-        failures.append("missing justification was accepted")
-    except SystemExit as e:
-        if e.code != 2:
-            failures.append("config error must exit 2")
+    for bad, label in (("x.hpp : lp-missing : foo", "missing justification"),
+                       ("x.hpp : lp-missing  # why", "two fields only"),
+                       ("x.hpp:lp-missing:foo  # why", "unflanked colons"),
+                       ("x.hpp : bogus-rule : foo  # why", "unknown rule"),
+                       ("* : * : foo  # why", "wildcard path and rule")):
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parse_suppressions(bad + "\n", "<selftest>")
+            failures.append(f"suppression with {label} was accepted")
+        except SystemExit as e:
+            if e.code != 2:
+                failures.append(f"suppression with {label}: exit {e.code}, "
+                                "want 2")
+    sups = parse_suppressions(
+        "w.hpp : tag-bits-outside-word : dcas::kPayloadShift  # why\n",
+        "<selftest>")
+    if sups[0].substring != "dcas::kPayloadShift":
+        failures.append(f"scoped substring mangled: {sups[0].substring}")
+
+    # An unrelated entry hides nothing and stays unused (an error under
+    # --strict); a `*` substring covers one rule in one file, no more.
+    hyg = passes.run_hygiene_pass([cm.build_file_model(
+        "src/dcas/include/audit_layer.hpp",
+        "static_assert((x & kDeletedBit) == 0);\n"
+        "void f(std::atomic<int>& a) { a.load(); }\n", [])[0]])
+    sups = parse_suppressions(
+        "other.hpp : implicit-seq-cst : a.load  # wrong file\n", "<selftest>")
+    if len(apply_suppressions(hyg, sups)) != 2 or sups[0].used:
+        failures.append("unrelated suppression hid a finding")
+    sups = parse_suppressions(
+        "audit_layer.hpp : tag-bits-outside-word : *  # audit layer\n",
+        "<selftest>")
+    if [f.rule for f in apply_suppressions(hyg, sups)] != [
+            "implicit-seq-cst"]:
+        failures.append("`*` suppression scope wrong")
 
     # A malformed DCD_LP is reported, not silently ignored.
     _, bad = cm.build_file_model(
@@ -1029,13 +1149,70 @@ def self_test() -> int:
     if not bad or not bad2:
         failures.append("malformed DCD_HB/DCD_HB_EXEMPT not reported")
 
+    # Pass 10: each seeded file yields exactly its rule multiset.
+    for path, source, expected in HYGIENE_CASES:
+        model, _ = cm.build_file_model(path, source, [])
+        got = sorted(f.rule for f in passes.run_hygiene_pass([model]))
+        if got != sorted(expected):
+            failures.append(f"{path}: expected {sorted(expected)}, got {got}")
+
+    # Pass 1 reads a missing order as seq_cst, so an implicit store on a
+    # field whose row allows seq_cst satisfies the contract: only the
+    # hygiene rule sees it.
+    sc_cfg = {"contract": {"scan_dirs": ["src"], "field": [
+        {"owner": "Flag", "member": "up_", "loads": ["seq_cst"],
+         "stores": ["seq_cst"], "rmw": [], "pairing": "internal",
+         "why": "seeded seq_cst field"}]}}
+    sc_model, _ = cm.build_file_model(
+        "src/deque/sc_field.hpp",
+        "struct Flag {\n"
+        "  std::atomic<bool> up_;\n"
+        "  void raise() { up_.store(true); }\n"
+        "  bool get() { return up_.load(std::memory_order_seq_cst); }\n"
+        "};\n", [])
+    got = ([f.rule for f in passes.run_contract_pass([sc_model], sc_cfg)]
+           + [f.rule for f in passes.run_hygiene_pass([sc_model])])
+    if got != ["implicit-seq-cst"]:
+        failures.append(f"implicit store on a seq_cst field got {got}")
+
+    # Sync-point references: the roster parses out of registry-style text;
+    # typos in arm_park literals and replay directives are flagged, while
+    # roster names, constant references and comments pass.
+    roster = cm.parse_sync_roster(
+        'inline constexpr const char* kDcasAny = "dcas.any";\n'
+        'inline constexpr const char* kLogicalDelete = '
+        '"pop.logical_delete";\n'
+        'inline constexpr const char* kElimTake = "elim.take";\n'
+        'inline constexpr const char* kMagazineFlush = "magazine.flush";\n')
+    if roster != {"dcas.any", "pop.logical_delete", "elim.take",
+                  "magazine.flush"}:
+        failures.append(f"roster parse wrong: {roster}")
+    park = cm.build_text_model(
+        "tests/chaos_list_test.cpp",
+        'c.arm_park("pop.logical_delete", 1);\n'
+        'c.arm_park("pop.logical_delte", 1);\n'      # typo: flagged
+        'c.arm_park(\n    "elim.takes", 1);\n'         # typo: flagged
+        "c.arm_park(dcd::dcas::sync_point::kDcasAny, 1);\n"
+        '// c.arm_park("not.a.point", 1);\n')
+    replay = ("expect-shape: dcas.any >= 1\n"
+              "chaos-park: pop.logical_delete 1\n"
+              "expect-shape: delete.two_nul_splice >= 1\n"  # typo: flagged
+              "chaos-park: magazine.fill 2\n"               # typo: flagged
+              "schedule: 0 1 0\n")
+    got = sorted((f.path, f.line) for f in passes.run_sync_reference_pass(
+        [park], {"tests/replays/x.repro": replay}, roster))
+    want = [("tests/chaos_list_test.cpp", 2), ("tests/chaos_list_test.cpp", 3),
+            ("tests/replays/x.repro", 3), ("tests/replays/x.repro", 4)]
+    if got != want:
+        failures.append(f"sync-reference scan: expected {want}, got {got}")
+
     if failures:
         print("self-test FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 2
-    print(f"self-test OK ({len(SELF_TEST_CASES)} seeded cases, "
-          "9 passes + annotation roster covered)")
+    print(f"self-test OK ({len(SELF_TEST_CASES) + len(HYGIENE_CASES)} "
+          "seeded cases, 10 passes + annotation roster covered)")
     return 0
 
 

@@ -6,7 +6,7 @@ analysis passes (passes.py) consume:
   * atomic field declarations (owner class, member name, value type)
   * atomic accesses (member, operation, memory-order arguments)
   * operator-form atomic accesses (``counter++`` — implicitly seq_cst and
-    invisible to the regex linter in tools/lint)
+    invisible to a call-form ``.load()``/``.store()`` scan)
   * CAS/DCAS call sites (policy calls ``Dcas::dcas/dcas_view/cas``,
     ``compare_exchange_*`` on std::atomic, magazine notify points)
   * retry loops (unbounded loops containing a CAS site) with the
@@ -379,6 +379,7 @@ class FileModel:
     fences: list[FenceSite] = dataclasses.field(default_factory=list)
     lines: list[str] = dataclasses.field(default_factory=list)
     funcs: list[FuncModel] = dataclasses.field(default_factory=list)
+    text: str = ""
     masked: str = ""
     scopes: list[Scope] = dataclasses.field(default_factory=list)
 
@@ -1353,7 +1354,8 @@ def build_file_model(path: str, text: str,
     masked, comments = split_comments(text)
     scopes = build_scopes(masked)
     lines = text.splitlines()
-    model = FileModel(path=path, lines=lines, masked=masked, scopes=scopes)
+    model = FileModel(path=path, lines=lines, text=text, masked=masked,
+                      scopes=scopes)
     model.fields = extract_fields(path, masked, scopes)
     model.accesses = extract_accesses(path, masked,
                                       {f.name for f in model.fields})
@@ -1372,6 +1374,13 @@ def build_file_model(path: str, text: str,
     model.funcs = extract_funcs(path, masked, scopes, guard_cfg)
     malformed += attach_guard_annotations(path, comments, lines, model.funcs)
     return model, malformed
+
+
+def build_text_model(path: str, text: str) -> FileModel:
+    """Lines and masked text only: enough for the token-level hygiene
+    rules, which also read files no pass builds a full model of."""
+    return FileModel(path=path, lines=text.splitlines(), text=text,
+                     masked=split_comments(text)[0])
 
 
 # --- rosters ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The eight analysis passes over the cpp_model fact base.
+"""The analysis passes over the cpp_model fact base.
 
 Pass 1  contract     memory-order contract audit per atomic field
 Pass 2  sync         sync-point completeness at every CAS/DCAS call site
@@ -23,6 +23,13 @@ Pass 9  hb           happens-before edge prover: every [[hb.edge]] roster
                      atomic_thread_fence is licensed by an edge or a
                      DCD_HB_EXEMPT, and every edge cross-references a chaos
                      sync point or mc scenario that exercises it
+Pass 10 hygiene      token-level rules over src/, tests/ and bench/:
+                     implicit-seq-cst atomic calls, raw new/delete in the
+                     reclaim-managed directories, unjustified
+                     DCD_NO_SANITIZE_*, reserved tag bits outside word.hpp
+
+Plus the reference side of pass 2: arm_park("...") literals and the replay
+corpus's directives must name points in the chaos.hpp roster.
 
 Plus the annotation-roster check (`unknown-annotation`): a DCD_* token
 outside the known roster is a finding, so a typo in a load-bearing
@@ -127,7 +134,7 @@ def load_contracts(cfg: dict) -> list[FieldContract]:
     return out
 
 
-def _in_dirs(path: str, dirs: list[str]) -> bool:
+def _in_dirs(path: str, dirs: list[str] | tuple[str, ...]) -> bool:
     p = path.replace("\\", "/")
     return any(p.startswith(d.rstrip("/") + "/") or p == d for d in dirs)
 
@@ -1062,6 +1069,137 @@ def run_annotation_pass(models: list[cm.FileModel],
                     "disables the contract the annotation was meant to "
                     "carry",
                     _snippet(model, lineno)))
+    return findings
+
+
+# --------------------------------------------------------------------------
+# Pass 10: source hygiene
+# --------------------------------------------------------------------------
+#
+# Token-level rules that need no contract row, so they reach the C++ files
+# outside the contract scan (tests/, bench/) too. Comment and string
+# contents are masked first, so prose never fires.
+
+HYGIENE_DIRS = ("src", "tests", "bench")
+# Node lifetimes here belong to NodePool/EBR: a raw new/delete bypasses the
+# grace period and the pools' type-stability.
+RECLAIM_MANAGED_DIRS = ("src/deque", "src/reclaim")
+# The one file that may spell out the reserved-bit layout.
+TAG_BIT_HOME = "src/dcas/include/dcd/dcas/word.hpp"
+TAG_BIT_RE = re.compile(
+    r"\b(kDescriptorBit|kDeletedBit|kSpecialBit|kPayloadShift)\b")
+NOSANITIZE_MACROS = ("DCD_NO_SANITIZE_THREAD", "DCD_NO_SANITIZE_ADDRESS")
+# A justification comment must sit on the macro's line or this many above.
+NOSANITIZE_COMMENT_WINDOW = 5
+# Every member call that defaults to seq_cst. `.clear()` is left out: on
+# containers it shares the spelling.
+_IMPLICIT_CALL_RE = re.compile(
+    r"(?:\.|->)\s*(" + "|".join(op for op in cm.ATOMIC_OPS if op != "clear")
+    + r")\s*(\()")
+_NEW_DELETE_RE = re.compile(r"\b(new|delete)\b")
+
+
+def run_hygiene_pass(models: list[cm.FileModel]) -> list[Finding]:
+    findings: list[Finding] = []
+    for model in models:
+        if not _in_dirs(model.path, HYGIENE_DIRS):
+            continue
+        masked = model.masked
+        for m in _IMPLICIT_CALL_RE.finditer(masked):
+            args = cm.balanced_args(masked, m.start(2))
+            if args is None or "memory_order" in args:
+                continue
+            line = cm.line_of(masked, m.start())
+            findings.append(Finding(
+                "hygiene", "implicit-seq-cst", model.path, line,
+                f".{m.group(1)}() without an explicit std::memory_order "
+                "(implicit seq_cst: state the order you need and why)",
+                _snippet(model, line)))
+        if _in_dirs(model.path, RECLAIM_MANAGED_DIRS):
+            for m in _NEW_DELETE_RE.finditer(masked):
+                line = cm.line_of(masked, m.start())
+                if (m.group(1) == "delete"
+                        and cm._prev_nonspace(masked, m.start() - 1)[0]
+                        == "="):
+                    continue  # `= delete;` declares, it does not free
+                if cm.line_text_at(model.lines, line).lstrip().startswith(
+                        "#"):
+                    continue  # `#include <new>`
+                findings.append(Finding(
+                    "hygiene", "raw-new-delete", model.path, line,
+                    f"`{m.group(1)}` inside a reclaim-managed path: node "
+                    "lifetimes here belong to NodePool/EBR (grace periods, "
+                    "type-stability)",
+                    _snippet(model, line)))
+        for i, text in enumerate(model.lines, start=1):
+            macro = next((x for x in NOSANITIZE_MACROS if x in text), None)
+            if macro is None or text.lstrip().startswith("#"):
+                continue  # the definition site is not a use
+            window = model.lines[max(0, i - 1 - NOSANITIZE_COMMENT_WINDOW):i]
+            if any("//" in w or "/*" in w or "*/" in w for w in window):
+                continue
+            findings.append(Finding(
+                "hygiene", "unjustified-nosanitize", model.path, i,
+                f"{macro} without a justification comment within "
+                f"{NOSANITIZE_COMMENT_WINDOW} lines: say which benign race "
+                "this blesses and why it is benign",
+                _snippet(model, i)))
+        if model.path != TAG_BIT_HOME:
+            for m in TAG_BIT_RE.finditer(masked):
+                line = cm.line_of(masked, m.start())
+                findings.append(Finding(
+                    "hygiene", "tag-bits-outside-word", model.path, line,
+                    f"reserved-bit constant {m.group(1)} used outside "
+                    "word.hpp: encode/decode through its helpers so the bit "
+                    "layout has one owner",
+                    _snippet(model, line)))
+    return findings
+
+
+# --------------------------------------------------------------------------
+# Sync-point references (the reference side of pass 2's unknown-sync-point)
+# --------------------------------------------------------------------------
+#
+# A sync point named by a string compiles fine and then silently never
+# fires: arm_park("...") literals and the replay corpus's directives must
+# name roster points. References through the sync_point::k* constants are
+# checked by the compiler.
+
+SYNC_REF_DIRS = ("src", "tests", "tools")
+REPLAY_CORPUS_DIR = "tests/replays"
+_ARM_PARK_RE = re.compile(r'\barm_park\s*\(\s*"')
+_REPLAY_POINT_RE = re.compile(r"^\s*(expect-shape|chaos-park)\s*:\s*(\S+)")
+
+
+def run_sync_reference_pass(models: list[cm.FileModel],
+                            replays: dict[str, str],
+                            roster: set[str]) -> list[Finding]:
+    findings: list[Finding] = []
+    for model in models:
+        if not _in_dirs(model.path, SYNC_REF_DIRS):
+            continue
+        for m in _ARM_PARK_RE.finditer(model.masked):
+            start = m.end()
+            point = model.text[start:model.text.find('"', start)]
+            if point in roster:
+                continue
+            line = cm.line_of(model.masked, m.start())
+            findings.append(Finding(
+                "sync", "unknown-sync-point", model.path, line,
+                f'arm_park("{point}") names a sync point missing from the '
+                "chaos.hpp roster: the park rule could never fire",
+                _snippet(model, line)))
+    for path, text in sorted(replays.items()):
+        for line, raw in enumerate(text.splitlines(), start=1):
+            m = _REPLAY_POINT_RE.match(raw)
+            if m is None or m.group(2) in roster:
+                continue
+            findings.append(Finding(
+                "sync", "unknown-sync-point", path, line,
+                f"{m.group(1)}: names '{m.group(2)}', which is missing from "
+                "the chaos.hpp roster: the expectation or park could never "
+                "match",
+                raw.strip()[:160]))
     return findings
 
 
